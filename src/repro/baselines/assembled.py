@@ -17,11 +17,7 @@ import scipy.sparse as sp
 from repro.core.da import DistributedArray, DistributedMultiVector
 from repro.core.kernels import resolve_mode
 from repro.core.maps import NodeMaps
-from repro.core.scatter import (
-    build_comm_maps,
-    scatter_begin,
-    scatter_end,
-)
+from repro.core.scatter import HaloCache, build_comm_maps
 from repro.fem.operators import Operator
 from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
@@ -32,6 +28,12 @@ __all__ = ["AssembledOperator"]
 
 class AssembledOperator:
     """Distributed CSR operator with PETSc-like assembly and SPMV."""
+
+    #: phase-label prefix of the block products
+    _phase = "spmv.csr"
+    #: True when the block product returns an operator-owned buffer that
+    #: ``copy=True`` must copy out (CSR products are freshly allocated)
+    _result_in_workspace = False
 
     def __init__(
         self,
@@ -109,7 +111,7 @@ class AssembledOperator:
         # the expensive part: off-rank row contributions to their owners
         t0 = comm.vtime
         received = comm.alltoall(per_dest)
-        comm.timing.add(f"{prefix}.comm", comm.vtime - t0)
+        comm.obs.record(f"{prefix}.comm", vtime=comm.vtime - t0)
 
         with comm.compute(f"{prefix}.assembly_local"):
             rparts = [(rows[mine], cols[mine], vals[mine])] + [
@@ -148,15 +150,15 @@ class AssembledOperator:
 
         t0 = comm.vtime
         self.cmaps = build_comm_maps(comm, self.maps, ranges=self._ranges)
-        comm.timing.add(f"{prefix}.comm_maps", comm.vtime - t0)
+        comm.obs.record(f"{prefix}.comm_maps", vtime=comm.vtime - t0)
 
         self.n_dofs_owned = n_owned_dofs
-        self._work_multi: dict[int, DistributedMultiVector] = {}
         # the node maps may change across a reassembly (halo columns
-        # follow the values' sparsity), so cached work vectors must not
-        # survive it
-        if hasattr(self, "_work_u"):
-            del self._work_u
+        # follow the values' sparsity), so per-k halo exchanges, work
+        # multivectors and oracle buffers must not survive it
+        self.halos = HaloCache(self.cmaps, self.ndpn)
+        self._work_multi: dict[int, DistributedMultiVector] = {}
+        self._oracle_bufs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
 
@@ -210,95 +212,125 @@ class AssembledOperator:
     def new_array(self) -> DistributedArray:
         return DistributedArray(self.maps, self.ndpn)
 
-    def apply_owned(self, x: np.ndarray, copy: bool = True) -> np.ndarray:
-        """``y = A x`` on owned dofs; halo exchange overlapped with the
-        diagonal-block product (PETSc's MatMult structure).
+    def _block_product(self, block: str, x: np.ndarray) -> np.ndarray:
+        """Local product of one CSR block (``"diag"``, ``"pre"`` or
+        ``"post"``) with a flat dof vector or a ``(·, k)`` dof matrix
+        (scipy's CSR·dense SpMM streams the matrix once for all
+        columns)."""
+        return getattr(self, f"A_{block}") @ x
 
-        The CSR product allocates a fresh result either way, so the
-        ``copy`` flag (kept for signature parity with
-        :meth:`repro.core.hymv.EbeOperatorBase.apply_owned`) is a
-        no-op: the returned array is always caller-owned."""
+    def _work(self, k: int) -> DistributedMultiVector:
+        """Work multivector of width ``k`` (cached until reassembly)."""
+        U = self._work_multi.get(k)
+        if U is None:
+            U = self._work_multi[k] = DistributedMultiVector(
+                self.maps, self.ndpn, k
+            )
+        return U
+
+    def _apply(self, X: np.ndarray, k: int) -> np.ndarray:
+        """``Y = A X`` on owned dofs over ``k`` columns (PETSc's MatMult
+        structure): post the packed ``ndpn*k``-wide ghost scatter,
+        multiply the diagonal block, wait, then add the pre- and
+        post-halo blocks in that order.  ``k == 1`` runs on flat dof
+        vectors, so its bits are those of a CSR matvec."""
         comm = self.comm
         t0 = comm.vtime
-        if not hasattr(self, "_work_u"):
-            self._work_u = self.new_array()
-        u = self._work_u
-        u.set_owned(x)
-        reqs = scatter_begin(comm, u.data, self.cmaps)
-        with comm.compute("spmv.csr.diag"):
-            y = self.A_diag @ u.owned_flat
+        U = self._work(k)
+        U.set_owned(X)
+        D = U.data.reshape(-1) if k == 1 else U.dof_view
+        npre = self.maps.n_pre * self.ndpn
+        off = npre + self.n_dofs_owned
+        halo = self.halos[k]
+        reqs = halo.scatter_begin(self.comm, U.node_view)
+        with comm.compute(f"{self._phase}.diag"):
+            Y = self._block_product("diag", D[npre:off])
         tw = comm.vtime
-        scatter_end(comm, u.data, self.cmaps, reqs)
-        comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-        with comm.compute("spmv.csr.halo"):
-            npre = self.maps.n_pre * self.ndpn
+        halo.scatter_end(comm, U.node_view, reqs)
+        comm.obs.record("spmv.scatter.wait", vtime=comm.vtime - tw)
+        with comm.compute(f"{self._phase}.halo"):
             if self.A_pre.shape[1]:
-                y += self.A_pre @ u.data.reshape(-1)[:npre]
+                Y += self._block_product("pre", D[:npre])
             if self.A_post.shape[1]:
-                off = npre + self.n_dofs_owned
-                y += self.A_post @ u.data.reshape(-1)[off:]
-        comm.obs.incr("spmv.flops", 2.0 * self.nnz)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += 1
-        return y
+                Y += self._block_product("post", D[off:])
+        comm.obs.incr("spmv.flops", 2.0 * self.nnz * k)
+        comm.obs.record("spmv.total", vtime=comm.vtime - t0)
+        self.spmv_count += k
+        return Y
+
+    def _result(self, Y: np.ndarray, copy: bool) -> np.ndarray:
+        """Honor the ``copy`` contract for a product ``Y``."""
+        return Y.copy() if copy and self._result_in_workspace else Y
+
+    def apply_owned(self, x: np.ndarray, copy: bool = True) -> np.ndarray:
+        """``y = A x`` on owned dofs; halo exchange overlapped with the
+        diagonal-block product.
+
+        The CSR product allocates a fresh result, so ``copy`` (kept for
+        signature parity with
+        :meth:`repro.core.hymv.EbeOperatorBase.apply_owned`) only matters
+        for subclasses whose block products reuse a workspace buffer:
+        there ``copy=False`` returns that buffer, overwritten by the
+        next call."""
+        return self._result(self._apply(x, 1), copy)
 
     def apply_owned_multi(
         self, X: np.ndarray, copy: bool = True, mode: str = "auto"
     ) -> np.ndarray:
         """Multi-RHS application.
 
-        The resolved ``"oracle"`` mode runs one :meth:`apply_owned` per
+        The resolved ``"oracle"`` mode runs one single-RHS product per
         column — each column pays its own message round, and the result
-        is trivially bitwise-per-column (signature parity with
+        is bitwise-per-column (signature parity with
         :meth:`repro.core.hymv.EbeOperatorBase.apply_owned_multi`).
 
         The resolved ``"gemm"`` mode exchanges ghosts for all k columns
-        in ONE packed ``ndpn*k``-wide scatter and computes each CSR block
-        with a single SpMM over the ``(·, k)`` dof matrix — the BLAS3
-        analogue for the assembled baseline (scipy's CSR·dense kernel
-        streams the matrix once for all columns).  SpMM accumulates
-        across the three blocks in the same block order as the 1-D path
-        and each CSR row in index order, so it matches the oracle to
-        rounding; it is not bitwise (the halo blocks' partial sums add
-        to the diag product in a different grouping).
+        in ONE packed ``ndpn*k``-wide scatter and computes each block
+        with a single SpMM over the ``(·, k)`` dof matrix.  It adds the
+        blocks in the same order as the single-RHS path and each row in
+        index order, so it matches the oracle to rounding; it is not
+        bitwise.  ``copy=False`` returns a buffer owned by the operator
+        (overwritten by the next same-``k`` call).
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"expected (n, k) multivector, got shape {X.shape}")
         k = X.shape[1]
-        if resolve_mode(mode, k, self.gemm_k_min) != "gemm":
-            Y = np.empty_like(X)
-            for j in range(k):
-                Y[:, j] = self.apply_owned(
-                    np.ascontiguousarray(X[:, j]), copy=False
-                )
-            return Y
-        comm = self.comm
-        t0 = comm.vtime
-        U = self._work_multi.get(k)
-        if U is None:
-            U = self._work_multi[k] = DistributedMultiVector(
-                self.maps, self.ndpn, k
+        if resolve_mode(mode, k, self.gemm_k_min) == "gemm":
+            return self._result(self._apply(X, k).reshape(-1, k), copy)
+        bufs = self._oracle_bufs.get(k)
+        if bufs is None:
+            bufs = self._oracle_bufs[k] = (
+                np.empty(X.shape[0]), np.empty_like(X)
             )
-        U.set_owned(X)
-        D = U.dof_view  # (n_total_dofs, k)
-        npre = self.maps.n_pre * self.ndpn
-        off = npre + self.n_dofs_owned
-        reqs = scatter_begin(comm, U.node_view, self.cmaps)
-        with comm.compute("spmv.csr.diag"):
-            Y = self.A_diag @ D[npre:off]
-        tw = comm.vtime
-        scatter_end(comm, U.node_view, self.cmaps, reqs)
-        comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-        with comm.compute("spmv.csr.halo"):
-            if self.A_pre.shape[1]:
-                Y += self.A_pre @ D[:npre]
-            if self.A_post.shape[1]:
-                Y += self.A_post @ D[off:]
-        comm.obs.incr("spmv.flops", 2.0 * self.nnz * k)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += k
-        return Y
+        xcol, Y = bufs
+        for j in range(k):
+            np.copyto(xcol, X[:, j])
+            Y[:, j] = self.apply_owned(xcol, copy=False)
+        return Y.copy() if copy else Y
+
+    # ------------------------------------------------------------------
+    # DistributedArray-level API parity with the EMV operators
+    # ------------------------------------------------------------------
+
+    def new_multivector(self, k: int) -> DistributedMultiVector:
+        return DistributedMultiVector(self.maps, self.ndpn, k)
+
+    def spmv(
+        self, u: DistributedArray, v: DistributedArray, overlap: bool = True
+    ) -> DistributedArray:
+        v.set_owned(self.apply_owned(u.owned_flat, copy=False))
+        return v
+
+    def spmv_multi(
+        self,
+        u: DistributedMultiVector,
+        v: DistributedMultiVector,
+        overlap: bool = True,
+        mode: str = "auto",
+    ) -> DistributedMultiVector:
+        v.set_owned(self.apply_owned_multi(u.owned_matrix, copy=False, mode=mode))
+        return v
 
     # ------------------------------------------------------------------
     # preconditioner support / accounting

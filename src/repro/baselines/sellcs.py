@@ -9,10 +9,11 @@ permute-in happens once per (re)assembly, permute-out happens inside the
 slice kernels on every ``apply_owned`` — so results stay in original row
 order and are **bitwise-identical** to the assembled-CSR reference:
 
+* the operator overrides only the block product: the halo exchange,
+  the ``diag += pre += post`` block order, the counters and the
+  oracle/gemm dispatch are the base class's single skeleton;
 * the slice-major single-RHS kernel accumulates each row's stored
-  entries in the same order as scipy's CSR row sum, and the three block
-  products are combined in the same ``diag += pre += post`` order as the
-  base class;
+  entries in the same order as scipy's CSR row sum;
 * the multi-RHS ``"oracle"`` mode applies the single-RHS path per
   column (bitwise per column, one halo round per column);
 * the multi-RHS ``"gemm"`` mode is the BLAS3 analogue — one packed
@@ -32,9 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.assembled import AssembledOperator
-from repro.core.da import DistributedArray, DistributedMultiVector
-from repro.core.kernels import resolve_mode
-from repro.core.scatter import scatter_begin, scatter_end
 from repro.core.sellcs import (
     SellCS,
     SellWorkspace,
@@ -51,9 +49,9 @@ __all__ = ["SellCSOperator"]
 
 
 class _WsBundle:
-    """Workspaces + scratch for one column count ``k``."""
+    """Kernel workspaces of the three blocks for one column count ``k``."""
 
-    __slots__ = ("diag", "pre", "post", "xcol", "Yout")
+    __slots__ = ("diag", "pre", "post")
 
     def __init__(
         self,
@@ -65,13 +63,6 @@ class _WsBundle:
         self.diag = SellWorkspace(S_diag, k)
         self.pre = SellWorkspace(S_pre, k) if S_pre is not None else None
         self.post = SellWorkspace(S_post, k) if S_post is not None else None
-        if k > 1:
-            # per-column scratch for the oracle loop and its output block
-            self.xcol = np.empty(S_diag.n_cols)
-            self.Yout = np.empty((S_diag.n_rows, k))
-        else:
-            self.xcol = None
-            self.Yout = None
 
 
 class SellCSOperator(AssembledOperator):
@@ -140,126 +131,19 @@ class SellCSOperator(AssembledOperator):
         return b
 
     # ------------------------------------------------------------------
-    # application
+    # application: the base-class skeleton with SELL block products
     # ------------------------------------------------------------------
 
-    def apply_owned(self, x: np.ndarray, copy: bool = True) -> np.ndarray:
-        """``y = A x`` on owned dofs through the SELL slice kernels,
-        bitwise-identical to :meth:`AssembledOperator.apply_owned`.
+    _phase = "spmv.sell"
+    _result_in_workspace = True
 
-        ``copy=False`` returns a workspace-owned buffer (overwritten by
-        the next call) and is allocation-free in steady state."""
-        comm = self.comm
-        t0 = comm.vtime
-        if not hasattr(self, "_work_u"):
-            self._work_u = self.new_array()
-        u = self._work_u
-        u.set_owned(x)
-        reqs = scatter_begin(comm, u.data, self.cmaps)
-        ws = self._bundle(1)
-        with comm.compute("spmv.sell.diag"):
-            y = sell_spmv(self.S_diag, u.owned_flat, ws.diag)
-        tw = comm.vtime
-        scatter_end(comm, u.data, self.cmaps, reqs)
-        comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-        with comm.compute("spmv.sell.halo"):
-            npre = self.maps.n_pre * self.ndpn
-            flat = u.data.reshape(-1)
-            if self.S_pre is not None:
-                y2 = sell_spmv(self.S_pre, flat[:npre], ws.pre)
-                np.add(y, y2, out=y)
-            if self.S_post is not None:
-                off = npre + self.n_dofs_owned
-                y3 = sell_spmv(self.S_post, flat[off:], ws.post)
-                np.add(y, y3, out=y)
-        comm.obs.incr("spmv.flops", 2.0 * self.nnz)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += 1
-        return y.copy() if copy else y
-
-    def apply_owned_multi(
-        self, X: np.ndarray, copy: bool = True, mode: str = "auto"
-    ) -> np.ndarray:
-        """Multi-RHS application with the standard mode contract.
-
-        ``"oracle"``: one single-RHS SELL application per column —
-        bitwise-per-column against the assembled-CSR oracle, one halo
-        round per column.  ``"gemm"``: ONE packed ``ndpn*k``-wide ghost
-        exchange, then the chunk-batched matmul kernel per block —
-        matches the oracle to rounding.  ``copy=False`` returns a
-        workspace-owned block (overwritten by the next same-``k`` call).
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"expected (n, k) multivector, got shape {X.shape}")
-        k = X.shape[1]
-        if k == 1:
-            # a 1-wide "gemm" batch (k_min == 1) is the single-RHS kernel
-            # with extra steps — the workspaces only carry multi buffers
-            # for k > 1, so always take the single-RHS path here
-            y = self.apply_owned(np.ascontiguousarray(X[:, 0]), copy=copy)
-            return y.reshape(-1, 1)
-        if resolve_mode(mode, k, self.gemm_k_min) != "gemm":
-            ws = self._bundle(k)
-            Y = ws.Yout
-            for j in range(k):
-                np.copyto(ws.xcol, X[:, j])
-                Y[:, j] = self.apply_owned(ws.xcol, copy=False)
-            return Y.copy() if copy else Y
-        comm = self.comm
-        t0 = comm.vtime
-        U = self._work_multi.get(k)
-        if U is None:
-            U = self._work_multi[k] = DistributedMultiVector(
-                self.maps, self.ndpn, k
-            )
-        U.set_owned(X)
-        D = U.dof_view  # (n_total_dofs, k)
-        npre = self.maps.n_pre * self.ndpn
-        off = npre + self.n_dofs_owned
-        reqs = scatter_begin(comm, U.node_view, self.cmaps)
-        ws = self._bundle(k)
-        with comm.compute("spmv.sell.diag"):
-            Y = sell_spmm(self.S_diag, D[npre:off], ws.diag)
-        tw = comm.vtime
-        scatter_end(comm, U.node_view, self.cmaps, reqs)
-        comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-        with comm.compute("spmv.sell.halo"):
-            if self.S_pre is not None:
-                Y2 = sell_spmm(self.S_pre, D[:npre], ws.pre)
-                np.add(Y, Y2, out=Y)
-            if self.S_post is not None:
-                Y3 = sell_spmm(self.S_post, D[off:], ws.post)
-                np.add(Y, Y3, out=Y)
-        comm.obs.incr("spmv.flops", 2.0 * self.nnz * k)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += k
-        return Y.copy() if copy else Y
-
-    # ------------------------------------------------------------------
-    # DistributedArray-level API parity with the EMV operators
-    # ------------------------------------------------------------------
-
-    def new_multivector(self, k: int) -> DistributedMultiVector:
-        return DistributedMultiVector(self.maps, self.ndpn, k)
-
-    def spmv(
-        self, u: DistributedArray, v: DistributedArray, overlap: bool = True
-    ) -> DistributedArray:
-        y = self.apply_owned(u.owned_flat, copy=False)
-        v.set_owned(y)
-        return v
-
-    def spmv_multi(
-        self,
-        u: DistributedMultiVector,
-        v: DistributedMultiVector,
-        overlap: bool = True,
-        mode: str = "auto",
-    ) -> DistributedMultiVector:
-        Y = self.apply_owned_multi(u.owned_matrix, copy=False, mode=mode)
-        v.set_owned(Y)
-        return v
+    def _block_product(self, block: str, x: np.ndarray) -> np.ndarray:
+        """Slice kernel (flat ``x``) or chunk-batched matmul (``(·, k)``
+        ``x``) of one SELL block, into its per-``k`` workspace."""
+        S = getattr(self, f"S_{block}")
+        if x.ndim == 1:
+            return sell_spmv(S, x, getattr(self._bundle(1), block))
+        return sell_spmm(S, x, getattr(self._bundle(x.shape[1]), block))
 
     # ------------------------------------------------------------------
     # accounting

@@ -12,6 +12,12 @@ Storage layout: local elements are permuted so the independent set is a
 contiguous prefix and the dependent set a contiguous suffix.  The two
 Algorithm-2 sweeps then operate on *views* of the stored element-matrix
 batch — no per-SPMV copies.
+
+One Algorithm-2 skeleton serves every right-hand-side count: ``spmv`` is
+its k=1 case and ``spmv_multi`` runs it over node rows of width
+``ndpn * k``.  Each sweep is one gather → elemental product →
+segment-accumulate step whose only per-kind hook is the elemental
+product (stored ``Ke``, recomputed ``Ke``, or geometric factors).
 """
 
 from __future__ import annotations
@@ -22,22 +28,12 @@ from repro.core.da import DistributedArray, DistributedMultiVector
 from repro.core.kernels import (
     EMV_KERNELS,
     EmvWorkspace,
-    accumulate_element_vectors,
     emv_columns,
     gather_element_vectors,
     resolve_mode,
 )
 from repro.core.maps import NodeMaps, build_node_maps
-from repro.core.scatter import (
-    CommMaps,
-    HaloExchange,
-    build_comm_maps,
-    gather_begin,
-    gather_end,
-    scatter,
-    scatter_begin,
-    scatter_end,
-)
+from repro.core.scatter import CommMaps, HaloCache, build_comm_maps
 from repro.core.segment import SegmentScatter
 from repro.fem.operators import Operator
 from repro.partition.interface import LocalMesh
@@ -58,7 +54,6 @@ class EbeOperatorBase:
         ranges: np.ndarray | None = None,
         kernel: str = "einsum",
         modeled_rate_gflops: float | None = None,
-        workspace: bool = True,
         elem_scale: np.ndarray | None = None,
     ):
         self.comm = comm
@@ -125,7 +120,7 @@ class EbeOperatorBase:
             )
         self._ranges = ranges
         self.cmaps: CommMaps = build_comm_maps(comm, self.maps, ranges=ranges)
-        comm.timing.add("setup.comm_maps", comm.vtime - t0)
+        comm.obs.record("setup.comm_maps", vtime=comm.vtime - t0)
 
         self._sl_indep = slice(0, self._n_indep)
         self._sl_dep = slice(self._n_indep, lmesh.n_local_elements)
@@ -142,31 +137,20 @@ class EbeOperatorBase:
         )
 
         # zero-allocation hot path: preallocated EMV workspace, packed
-        # halo buffers and precomputed segment-sum scatters per sweep.
-        # ``workspace=False`` keeps the legacy allocating path as the
-        # bitwise reference for equivalence tests and ablations.
-        self.workspace_enabled = bool(workspace)
-        self._ws: EmvWorkspace | None = None
-        self.halo: HaloExchange | None = None
-        self._seg_indep: SegmentScatter | None = None
-        self._seg_dep: SegmentScatter | None = None
-        self._seg_all: SegmentScatter | None = None
-        if workspace:
-            with comm.compute("setup.workspace"):
-                self._ws = EmvWorkspace(
-                    lmesh.n_local_elements, self.e2l_dofs.shape[1]
-                )
-                self.halo = HaloExchange(self.cmaps, self.ndpn)
-                self._seg_indep = SegmentScatter(self.e2l_dofs[self._sl_indep])
-                self._seg_dep = SegmentScatter(self.e2l_dofs[self._sl_dep])
-        # multi-RHS machinery, built lazily per column count k: one packed
-        # halo exchange of node-row width ndpn*k serves all k columns, and
-        # work multivectors back apply_owned_multi (mirrors _work_u/_work_v)
-        self._halo_multi: dict[int, HaloExchange] = {}
+        # halo buffers (one exchange per column count k) and precomputed
+        # segment-sum scatters per sweep
+        with comm.compute("setup.workspace"):
+            self._ws = EmvWorkspace(lmesh.n_local_elements, self.e2l_dofs.shape[1])
+            self.halos = HaloCache(self.cmaps, self.ndpn)
+            self.halos[1]  # the single-RHS exchange is built at setup
+            self._seg_indep = SegmentScatter(self.e2l_dofs[self._sl_indep])
+            self._seg_dep = SegmentScatter(self.e2l_dofs[self._sl_dep])
+        self._seg_all: SegmentScatter | None = None  # blocking sweep, lazy
+        # work multivectors backing apply_owned_multi, cached per k
         self._work_multi: dict[int, tuple] = {}
         # mode="auto" crossover for the BLAS3 multi-RHS path; None means
-        # repro.core.kernels.DEFAULT_K_MIN (set a calibrated value from
-        # BENCH_kernels.json's config.gemm_k_min_crossover to override)
+        # repro.core.kernels.DEFAULT_K_MIN (a tuned value comes from
+        # repro.tune.load_tuned_config)
         self.gemm_k_min: int | None = None
 
     # -- construction helpers -------------------------------------------
@@ -182,6 +166,9 @@ class EbeOperatorBase:
     def new_array(self) -> DistributedArray:
         return DistributedArray(self.maps, self.ndpn)
 
+    def new_multivector(self, k: int) -> DistributedMultiVector:
+        return DistributedMultiVector(self.maps, self.ndpn, k)
+
     # -- elemental sweep -------------------------------------------------
 
     def _element_matrices(self, sl: slice) -> np.ndarray:
@@ -189,105 +176,88 @@ class EbeOperatorBase:
         recompute is the HYMV/matrix-free distinction)."""
         raise NotImplementedError
 
-    def _segment_for(self, sl: slice) -> SegmentScatter | None:
-        """Precomputed segment scatter of a sweep slice (``None`` when
-        the slice has no frozen structure, e.g. GPU chunk schedules)."""
-        if sl is self._sl_indep:
-            return self._seg_indep
-        if sl is self._sl_dep:
-            return self._seg_dep
-        if sl is self._sl_all:
-            if self._seg_all is None and self.workspace_enabled:
-                self._seg_all = SegmentScatter(self.e2l_dofs)
-            return self._seg_all
-        return None
-
     def _columns_batch(self, sl: slice) -> np.ndarray | None:
         """Optional precomputed column-major matrix batch for the
         ``columns`` kernel (operators with stored matrices override)."""
         return None
 
-    def _emv_sweep(self, uf: np.ndarray, vf: np.ndarray, sl: slice) -> None:
-        """One elemental sweep over flat local dof vectors.
-
-        ``uf``/``vf`` are 1-D views of length ``n_total * ndpn`` and may
-        be strided (multi-RHS columns); the gathered/accumulated values
-        are identical either way, so the multivector path inherits the
-        single-RHS bits column by column.
-        """
-        idx = self.e2l_dofs[sl]
-        if idx.shape[0] == 0:
-            return
+    def _element_product(
+        self, sl: slice, ue: np.ndarray, ve: np.ndarray, gemm: bool = False
+    ) -> np.ndarray:
+        """The per-kind hook of the sweep: elemental products of the
+        gathered ``ue`` (``(E, nd)``, or ``(E, nd, k)`` under ``gemm``),
+        written into ``ve`` or returned fresh.  The default multiplies
+        by :meth:`_element_matrices` — stored for HYMV, recomputed for
+        matrix-free; a GEMM is one batched ``(nd, nd) @ (nd, k)`` matmul
+        per element."""
         ke = self._element_matrices(sl)
-        if self._ws is not None:
-            ue, ve = self._ws.views(idx.shape[0])
-            gather_element_vectors(uf, idx, out=ue)
-            if self.kernel is emv_columns:
-                emv_columns(
-                    ke, ue, out=ve, tmp=self._ws.tmp[: idx.shape[0]],
-                    columns=self._columns_batch(sl),
-                )
-            else:
-                self.kernel(ke, ue, out=ve)
-            seg = self._segment_for(sl)
-            if seg is not None:
-                seg.add_into(vf, ve)
-            else:
-                accumulate_element_vectors(vf, idx, ve)
-        else:
-            ue = gather_element_vectors(uf, idx)
-            ve = self.kernel(ke, ue)
-            accumulate_element_vectors(vf, idx, ve)
-        flops = idx.shape[0] * self.operator.emv_flops(self.etype)
-        self.comm.obs.incr("spmv.elements", idx.shape[0])
+        if gemm:
+            return self.kernel(ke, ue, out=ve, mode="gemm")
+        if self.kernel is emv_columns:
+            return emv_columns(
+                ke, ue, out=ve, tmp=self._ws.tmp[: ue.shape[0]],
+                columns=self._columns_batch(sl),
+            )
+        return self.kernel(ke, ue, out=ve)
+
+    def _account(self, n: int, k: int) -> None:
+        """Counters and modeled compute time of one sweep of ``n``
+        elements over ``k`` columns."""
+        flops = n * self.operator.emv_flops(self.etype) * k
+        self.comm.obs.incr("spmv.elements", n * k)
         self.comm.obs.incr("spmv.flops", flops)
         if self.modeled_rate_gflops:
             self.comm.advance(
                 flops / (self.modeled_rate_gflops * 1e9), "spmv.emv.modeled"
             )
 
-    def _emv_sweep_multi(
-        self, UF: np.ndarray, VF: np.ndarray, sl: slice
+    def _segment_for(self, sl: slice) -> SegmentScatter:
+        """Precomputed segment scatter of a sweep slice."""
+        if sl is self._sl_indep:
+            return self._seg_indep
+        if sl is self._sl_dep:
+            return self._seg_dep
+        if self._seg_all is None:
+            self._seg_all = SegmentScatter(self.e2l_dofs)
+        return self._seg_all
+
+    def _emv_sweep(
+        self, U: np.ndarray, V: np.ndarray, sl: slice, gemm: bool,
+        account: bool = True,
     ) -> None:
-        """One BLAS3 elemental sweep over ``(n_total*ndpn, k)`` dof
-        multivectors (``mode="gemm"``).
+        """Gather → elemental product → segment-accumulate over one
+        element slice of the ``(n_total*ndpn, k)`` dof views ``U``/``V``.
 
-        The gathered ``(E, nd, k)`` block is multiplied by the element-
-        matrix batch in ONE batched ``np.matmul`` — a dense
-        ``(nd, nd) @ (nd, k)`` GEMM per element — and scattered with the
-        k-column segment sum.  Element matrices are produced once for all
-        k columns (for the matrix-free operator this also amortizes the
-        recompute k-fold).  Counters and the modeled compute time advance
-        by the same k-scaled totals as k oracle sweeps, so virtual-time
-        studies stay mode-independent.
+        The oracle (``gemm=False``) runs the single-RHS sweep once per
+        column, so column ``j`` gets exactly the bits of a k=1 product.
+        ``gemm=True`` gathers the ``(E, nd, k)`` block once, runs one
+        BLAS3 elemental product (element matrices produced once for all
+        k columns) and scatters with the k-column segment sum; it
+        matches the oracle to rounding
+        (:func:`repro.core.kernels.gemm_equivalence_rtol`).  Counters and
+        modeled time advance by the same k-scaled totals either way.
         """
         idx = self.e2l_dofs[sl]
-        if idx.shape[0] == 0:
+        n = idx.shape[0]
+        if n == 0:
             return
-        k = UF.shape[1]
-        ke = self._element_matrices(sl)
-        if self._ws is not None:
-            ue, ve = self._ws.multi_views(idx.shape[0], k)
-            gather_element_vectors(UF, idx, out=ue)
-            self.kernel(ke, ue, out=ve, mode="gemm")
-            seg = self._segment_for(sl)
-            if seg is not None:
-                seg.add_into_multi(VF, ve)
-            else:
-                accumulate_element_vectors(VF, idx, ve)
-        else:
-            ue = gather_element_vectors(UF, idx)
-            ve = self.kernel(ke, ue, mode="gemm")
-            accumulate_element_vectors(VF, idx, ve)
-        flops = idx.shape[0] * self.operator.emv_flops(self.etype) * k
-        self.comm.obs.incr("spmv.elements", idx.shape[0] * k)
-        self.comm.obs.incr("spmv.flops", flops)
-        if self.modeled_rate_gflops:
-            self.comm.advance(
-                flops / (self.modeled_rate_gflops * 1e9), "spmv.emv.modeled"
-            )
+        seg = self._segment_for(sl)
+        if gemm:
+            k = U.shape[1]
+            ue, ve = self._ws.multi_views(n, k)
+            gather_element_vectors(U, idx, out=ue)
+            seg.add_into_multi(V, self._element_product(sl, ue, ve, gemm=True))
+            if account:
+                self._account(n, k)
+            return
+        ue, ve = self._ws.views(n)
+        for j in range(U.shape[1]):
+            gather_element_vectors(U[:, j], idx, out=ue)
+            seg.add_into(V[:, j], self._element_product(sl, ue, ve))
+            if account:
+                self._account(n, 1)
 
-    def _verify_ghosts(self, u: DistributedArray | DistributedMultiVector) -> None:
+    def _verify_ghosts(self, un: np.ndarray) -> None:
         """Flag non-finite received ghost values (fault-injection runs
         only): raises the ``spmv.ghost_nonfinite`` counter that the
         resilient CG treats as a local corruption signal.
@@ -296,12 +266,51 @@ class EbeOperatorBase:
         array precomputed at setup (no per-neighbor Python loop)."""
         if self._recv_all.size == 0:
             return
-        vals = u.data[self._recv_all]
+        vals = un[self._recv_all]
         bad = int(vals.size - np.count_nonzero(np.isfinite(vals)))
         if bad:
             self.comm.obs.incr("spmv.ghost_nonfinite", bad)
 
     # -- Algorithm 2 ------------------------------------------------------
+
+    def _alg2(
+        self, un: np.ndarray, vn: np.ndarray, k: int, gemm: bool, overlap: bool
+    ) -> None:
+        """Algorithm 2 over node rows ``(n_total, ndpn*k)``: post the
+        ghost scatter of ``un``, sweep the independent elements, wait,
+        sweep the dependent ones, then gather ghost partial sums of
+        ``vn`` to their owners.  ``overlap=False`` is the blocking
+        variant (wait first, one sweep over all elements)."""
+        comm = self.comm
+        halo = self.halos[k]
+        t0 = comm.vtime
+        vn[:] = 0.0
+        U = un.reshape(-1, k)
+        V = vn.reshape(-1, k)
+        if overlap:
+            reqs = halo.scatter_begin(self.comm, un)
+            with comm.compute("spmv.emv.independent"):
+                self._emv_sweep(U, V, self._sl_indep, gemm)
+            tw = comm.vtime
+            halo.scatter_end(comm, un, reqs)
+        else:
+            tw = comm.vtime
+            halo.scatter(comm, un)
+        comm.obs.record("spmv.scatter.wait", vtime=comm.vtime - tw)
+        if self._check_ghosts:
+            self._verify_ghosts(un)
+        label, sl = (
+            ("spmv.emv.dependent", self._sl_dep)
+            if overlap
+            else ("spmv.emv.all", self._sl_all)
+        )
+        with comm.compute(label):
+            self._emv_sweep(U, V, sl, gemm)
+        tg = comm.vtime
+        halo.gather(comm, vn)
+        comm.obs.record("spmv.gather", vtime=comm.vtime - tg)
+        comm.obs.record("spmv.total", vtime=comm.vtime - t0)
+        self.spmv_count += k
 
     def spmv(
         self,
@@ -316,49 +325,7 @@ class EbeOperatorBase:
         flight while independent elements compute; ``overlap=False`` is
         the blocking variant used in the ablation study.
         """
-        comm = self.comm
-        halo = self.halo
-        t0 = comm.vtime
-        v.data[:] = 0.0
-        uf = u.data.reshape(-1)
-        vf = v.data.reshape(-1)
-        if overlap:
-            if halo is not None:
-                reqs = halo.scatter_begin(comm, u.data)
-            else:
-                reqs = scatter_begin(comm, u.data, self.cmaps)
-            with comm.compute("spmv.emv.independent"):
-                self._emv_sweep(uf, vf, self._sl_indep)
-            tw = comm.vtime
-            if halo is not None:
-                halo.scatter_end(comm, u.data, reqs)
-            else:
-                scatter_end(comm, u.data, self.cmaps, reqs)
-            comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            with comm.compute("spmv.emv.dependent"):
-                self._emv_sweep(uf, vf, self._sl_dep)
-        else:
-            tw = comm.vtime
-            if halo is not None:
-                halo.scatter(comm, u.data)
-            else:
-                scatter(comm, u.data, self.cmaps)
-            comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            with comm.compute("spmv.emv.all"):
-                self._emv_sweep(uf, vf, self._sl_all)
-        tg = comm.vtime
-        if halo is not None:
-            halo.gather_end(comm, v.data, halo.gather_begin(comm, v.data))
-        else:
-            greqs = gather_begin(comm, v.data, self.cmaps)
-            gather_end(comm, v.data, self.cmaps, greqs)
-        comm.timing.add("spmv.gather", comm.vtime - tg)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += 1
+        self._alg2(u.data, v.data, 1, False, overlap)
         return v
 
     def apply(self, u: DistributedArray, v: DistributedArray) -> DistributedArray:
@@ -387,21 +354,6 @@ class EbeOperatorBase:
 
     # -- multi-RHS (matrix-multivector) path ------------------------------
 
-    def new_multivector(self, k: int) -> DistributedMultiVector:
-        return DistributedMultiVector(self.maps, self.ndpn, k)
-
-    def _halo_for(self, k: int) -> HaloExchange | None:
-        """Packed halo exchange for node rows of width ``ndpn * k``
-        (built once per distinct column count, like ``halo`` for k=1)."""
-        if k == 1:
-            return self.halo
-        if not self.workspace_enabled:
-            return None
-        h = self._halo_multi.get(k)
-        if h is None:
-            h = self._halo_multi[k] = HaloExchange(self.cmaps, self.ndpn * k)
-        return h
-
     def spmv_multi(
         self,
         u: DistributedMultiVector,
@@ -409,81 +361,20 @@ class EbeOperatorBase:
         overlap: bool = True,
         mode: str = "auto",
     ) -> DistributedMultiVector:
-        """Batched multi-RHS SPMV ``V = K U`` (Algorithm 2 over ``k``
-        right-hand sides at once).
+        """Batched multi-RHS SPMV ``V = K U``: Algorithm 2 over ``k``
+        right-hand sides at once.
 
-        Under ``mode="oracle"`` column ``j`` of the result is **bitwise
-        identical** to ``spmv`` applied to column ``j`` alone: each
-        column runs through the exact single-RHS elemental sweep (same
-        workspace, same kernels, same accumulation order).  The batching
-        win is in the communication layer — ONE ghost exchange of packed
-        ``ndpn * k`` node rows replaces ``k`` exchanges, amortizing
-        per-message latency across the batch (the multivector analogue
-        of the paper's batched-EMV rationale; per-scalar ghost copies and
-        accumulations are independent, so packing cannot change bits).
-
-        Under ``mode="gemm"`` the elemental stage additionally runs as
-        batched BLAS3 GEMMs over the whole ``(E, nd, k)`` block
-        (:meth:`_emv_sweep_multi`): each stored/recomputed element matrix
-        is streamed through memory once for all k columns instead of k
-        times.  Results match the oracle to rounding
-        (:func:`repro.core.kernels.gemm_equivalence_rtol`), not bitwise.
-        ``mode="auto"`` (the default) picks GEMM when
-        ``k >= self.gemm_k_min`` (``None`` → ``DEFAULT_K_MIN``).
+        One ghost exchange of packed ``ndpn * k`` node rows replaces
+        ``k`` exchanges (per-scalar ghost copies and accumulations are
+        independent, so packing cannot change bits).  Under the resolved
+        ``"oracle"`` mode column ``j`` of the result is **bitwise
+        identical** to ``spmv`` applied to column ``j`` alone; under
+        ``"gemm"`` the elemental stage runs as batched BLAS3 GEMMs (see
+        :meth:`_emv_sweep`).  ``mode="auto"`` (the default) picks GEMM
+        when ``k >= self.gemm_k_min`` (``None`` → ``DEFAULT_K_MIN``).
         """
-        comm = self.comm
-        k = u.k
-        gemm = resolve_mode(mode, k, self.gemm_k_min) == "gemm"
-        halo = self._halo_for(k)
-        t0 = comm.vtime
-        v.data[:] = 0.0
-        un, vn = u.node_view, v.node_view
-        uf, vf = u.dof_view, v.dof_view
-
-        def sweep(sl: slice) -> None:
-            if gemm:
-                self._emv_sweep_multi(uf, vf, sl)
-            else:
-                for j in range(k):
-                    self._emv_sweep(uf[:, j], vf[:, j], sl)
-
-        if overlap:
-            if halo is not None:
-                reqs = halo.scatter_begin(comm, un)
-            else:
-                reqs = scatter_begin(comm, un, self.cmaps)
-            with comm.compute("spmv.emv.independent"):
-                sweep(self._sl_indep)
-            tw = comm.vtime
-            if halo is not None:
-                halo.scatter_end(comm, un, reqs)
-            else:
-                scatter_end(comm, un, self.cmaps, reqs)
-            comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            with comm.compute("spmv.emv.dependent"):
-                sweep(self._sl_dep)
-        else:
-            tw = comm.vtime
-            if halo is not None:
-                halo.scatter(comm, un)
-            else:
-                scatter(comm, un, self.cmaps)
-            comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            with comm.compute("spmv.emv.all"):
-                sweep(self._sl_all)
-        tg = comm.vtime
-        if halo is not None:
-            halo.gather_end(comm, vn, halo.gather_begin(comm, vn))
-        else:
-            greqs = gather_begin(comm, vn, self.cmaps)
-            gather_end(comm, vn, self.cmaps, greqs)
-        comm.timing.add("spmv.gather", comm.vtime - tg)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += k
+        gemm = resolve_mode(mode, u.k, self.gemm_k_min) == "gemm"
+        self._alg2(u.node_view, v.node_view, u.k, gemm, overlap)
         return v
 
     def apply_owned_multi(
@@ -527,7 +418,7 @@ class EbeOperatorBase:
         nd = self.e2l_dofs.shape[1]
         diag_e = ke[:, np.arange(nd), np.arange(nd)]
         scatter_add(d.data.reshape(-1), self.e2l_dofs, diag_e)
-        d.accumulate_ghosts(self.comm, self.cmaps)
+        self.halos[1].gather(self.comm, d.data)
         return d
 
     def diagonal_owned(self) -> np.ndarray:
@@ -572,7 +463,7 @@ class EbeOperatorBase:
                 per_dest[int(r)] = (rows[sel], cols[sel], vals[sel])
         t0 = comm.vtime
         received = comm.alltoall(per_dest)
-        comm.timing.add("precond.block_comm", comm.vtime - t0)
+        comm.obs.record("precond.block_comm", vtime=comm.vtime - t0)
         with comm.compute("precond.block_assemble"):
             parts = [(rows[mine], cols[mine], vals[mine])] + [
                 t for t in received if t is not None
@@ -654,8 +545,7 @@ class EbeOperatorBase:
         after an in-place update, so no cached scratch view outlives the
         element state it was sized against (halo exchanges depend only
         on the comm maps, which an in-place update never changes)."""
-        if self._ws is not None:
-            self._ws.clear_multi()
+        self._ws.clear_multi()
         for seg in (self._seg_indep, self._seg_dep, self._seg_all):
             if seg is not None:
                 seg._multi.clear()
@@ -697,7 +587,6 @@ class HymvOperator(EbeOperatorBase):
         kernel: str = "einsum",
         modeled_rate_gflops: float | None = None,
         ke_cache: dict | None = None,
-        workspace: bool = True,
         elem_scale: np.ndarray | None = None,
     ):
         """``ke_cache`` optionally maps *global element ids* to previously
@@ -709,8 +598,7 @@ class HymvOperator(EbeOperatorBase):
         only to freshly computed rows."""
         super().__init__(
             comm, lmesh, operator, ranges=ranges, kernel=kernel,
-            modeled_rate_gflops=modeled_rate_gflops, workspace=workspace,
-            elem_scale=elem_scale,
+            modeled_rate_gflops=modeled_rate_gflops, elem_scale=elem_scale,
         )
         gids = lmesh.elements[self._order]
         if ke_cache:
@@ -740,7 +628,7 @@ class HymvOperator(EbeOperatorBase):
         # (paper eq. 4's SIMD layout).  Same operands, same add order —
         # bitwise identical products.
         self._kcol: np.ndarray | None = None
-        if self.workspace_enabled and self.kernel_name == "columns":
+        if self.kernel_name == "columns":
             with comm.compute("setup.column_layout"):
                 self._kcol = np.ascontiguousarray(self.ke.transpose(2, 0, 1))
 

@@ -8,8 +8,10 @@
   owners and are shipped back to be accumulated.
 
 Both maps are built once at setup time from a single ``alltoall`` of ghost
-id lists (paper §IV-D) and then drive nonblocking ``isend``/``irecv``
-pairs whose completion the SPMV overlaps with independent-element compute.
+id lists (paper §IV-D) and then drive the nonblocking ``isend``/``irecv``
+pairs of a :class:`HaloExchange`, whose completion the SPMV overlaps with
+independent-element compute.  :class:`HaloExchange` is the only ghost
+exchange: every operator kind and the distributed array use it.
 
 The builder takes an arbitrary ghost id list, so the matrix-assembled
 baseline reuses it for its (larger) matrix halo.
@@ -29,22 +31,15 @@ __all__ = [
     "SCATTER_TAG",
     "GATHER_TAG",
     "CommMaps",
+    "HaloCache",
     "HaloExchange",
     "build_comm_maps",
-    "scatter_begin",
-    "scatter_end",
-    "gather_begin",
-    "gather_end",
-    "scatter",
-    "gather",
 ]
 
 #: message tags of the two halo-exchange directions (public so fault
 #: plans can target the ghost scatter / gather selectively)
 SCATTER_TAG = 101
 GATHER_TAG = 102
-_SCATTER_TAG = SCATTER_TAG
-_GATHER_TAG = GATHER_TAG
 
 
 @dataclass
@@ -124,18 +119,15 @@ def build_comm_maps(
 class HaloExchange:
     """Packed-buffer halo exchange, built once and reused across SPMVs.
 
-    The module-level ``scatter_*``/``gather_*`` functions fancy-index a
-    fresh per-neighbor copy out of ``data`` for every message; a
-    ``HaloExchange`` instead concatenates each direction's slot arrays at
-    setup and packs all outgoing values with a single ``np.take(...,
-    out=)`` into a preallocated contiguous buffer, then sends per-neighbor
-    slices of it.  The gather accumulation likewise runs through a
-    preallocated gather/add/scatter scratch instead of an allocating
-    fancy ``+=``.  Message partners, ordering, payload bytes and the
-    accumulation arithmetic are unchanged, so results are bitwise
-    identical to the legacy functions.
+    Each direction's slot arrays are concatenated at setup; all outgoing
+    values are packed with a single ``np.take(..., out=)`` into a
+    preallocated contiguous buffer, and per-neighbor slices of it are
+    sent (one message per neighbor and direction).  The gather adds each
+    received contribution into its owner slot through a preallocated
+    gather/add/scatter scratch — one rounding per contribution, the same
+    arithmetic as a fancy ``data[slots] += recv``.
 
-    One instance per (operator, ndpn); not thread-safe, and at most one
+    One instance per (comm maps, row width); not thread-safe, and at most one
     exchange per direction may be in flight at a time (the pack buffers
     are reused — fine under simmpi, whose ``isend`` copies payloads).
     """
@@ -196,8 +188,8 @@ class HaloExchange:
             np.take(data, self.send_all, axis=0, out=self._sbuf, mode="clip")
         off = self.send_offsets
         for k, rank in enumerate(self.cmaps.send_ranks):
-            comm.isend(self._sbuf[off[k]:off[k + 1]], rank, tag=_SCATTER_TAG)
-        return [comm.irecv(rank, tag=_SCATTER_TAG) for rank in self.cmaps.recv_ranks]
+            comm.isend(self._sbuf[off[k]:off[k + 1]], rank, tag=SCATTER_TAG)
+        return [comm.irecv(rank, tag=SCATTER_TAG) for rank in self.cmaps.recv_ranks]
 
     def scatter_end(
         self, comm: Communicator, data: np.ndarray, reqs: list[Request]
@@ -206,7 +198,9 @@ class HaloExchange:
             data[slots] = comm.wait(req)
 
     def scatter(self, comm: Communicator, data: np.ndarray) -> None:
-        self.scatter_end(comm, data, self.scatter_begin(comm, data))
+        """Blocking ghost fill: post and complete at once."""
+        begin, end = self.scatter_begin, self.scatter_end
+        end(comm, data, begin(comm, data))
 
     # -- gather: ghost partial sums -> owner accumulation ------------------
 
@@ -221,8 +215,8 @@ class HaloExchange:
             np.take(data, self.recv_all, axis=0, out=self._gbuf, mode="clip")
         off = self.recv_offsets
         for k, rank in enumerate(self.cmaps.recv_ranks):
-            comm.isend(self._gbuf[off[k]:off[k + 1]], rank, tag=_GATHER_TAG)
-        return [comm.irecv(rank, tag=_GATHER_TAG) for rank in self.cmaps.send_ranks]
+            comm.isend(self._gbuf[off[k]:off[k + 1]], rank, tag=GATHER_TAG)
+        return [comm.irecv(rank, tag=GATHER_TAG) for rank in self.cmaps.send_ranks]
 
     def gather_end(
         self, comm: Communicator, data: np.ndarray, reqs: list[Request]
@@ -236,54 +230,29 @@ class HaloExchange:
             data[slots] = acc
 
     def gather(self, comm: Communicator, data: np.ndarray) -> None:
-        self.gather_end(comm, data, self.gather_begin(comm, data))
+        """Blocking ghost accumulation: post and complete at once."""
+        begin, end = self.gather_begin, self.gather_end
+        end(comm, data, begin(comm, data))
 
 
-# ----------------------------------------------------------------------------
-# scatter: owner values -> ghost copies (read halo before SPMV)
-# ----------------------------------------------------------------------------
+class HaloCache:
+    """One :class:`HaloExchange` per column count over fixed comm maps.
 
-def scatter_begin(
-    comm: Communicator, data: np.ndarray, cmaps: CommMaps
-) -> list[Request]:
-    """Post the ghost-fill exchange for ``data`` (``(n_total, ndpn)``)."""
-    for rank, slots in zip(cmaps.send_ranks, cmaps.send_slots):
-        comm.isend(data[slots], rank, tag=_SCATTER_TAG)
-    return [comm.irecv(rank, tag=_SCATTER_TAG) for rank in cmaps.recv_ranks]
+    ``cache[k]`` exchanges node rows of width ``ndpn * k`` (k right-hand
+    sides packed per node), built on first use and reused afterwards.
+    Operators that rebuild their comm maps (reassembly) replace the
+    whole cache.
+    """
 
+    __slots__ = ("cmaps", "ndpn", "_by_k")
 
-def scatter_end(
-    comm: Communicator, data: np.ndarray, cmaps: CommMaps, reqs: list[Request]
-) -> None:
-    """Complete the ghost fill: copy received owner values into ghosts."""
-    for slots, req in zip(cmaps.recv_slots, reqs):
-        data[slots] = comm.wait(req)
+    def __init__(self, cmaps: CommMaps, ndpn: int):
+        self.cmaps = cmaps
+        self.ndpn = int(ndpn)
+        self._by_k: dict[int, HaloExchange] = {}
 
-
-def scatter(comm: Communicator, data: np.ndarray, cmaps: CommMaps) -> None:
-    scatter_end(comm, data, cmaps, scatter_begin(comm, data, cmaps))
-
-
-# ----------------------------------------------------------------------------
-# gather: ghost partial sums -> owner accumulation (after SPMV)
-# ----------------------------------------------------------------------------
-
-def gather_begin(
-    comm: Communicator, data: np.ndarray, cmaps: CommMaps
-) -> list[Request]:
-    """Post the reverse exchange shipping ghost contributions to owners."""
-    for rank, slots in zip(cmaps.recv_ranks, cmaps.recv_slots):
-        comm.isend(data[slots], rank, tag=_GATHER_TAG)
-    return [comm.irecv(rank, tag=_GATHER_TAG) for rank in cmaps.send_ranks]
-
-
-def gather_end(
-    comm: Communicator, data: np.ndarray, cmaps: CommMaps, reqs: list[Request]
-) -> None:
-    """Accumulate the received contributions into my owned slots."""
-    for slots, req in zip(cmaps.send_slots, reqs):
-        data[slots] += comm.wait(req)
-
-
-def gather(comm: Communicator, data: np.ndarray, cmaps: CommMaps) -> None:
-    gather_end(comm, data, cmaps, gather_begin(comm, data, cmaps))
+    def __getitem__(self, k: int) -> HaloExchange:
+        h = self._by_k.get(k)
+        if h is None:
+            h = self._by_k[k] = HaloExchange(self.cmaps, self.ndpn * k)
+        return h

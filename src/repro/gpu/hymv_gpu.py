@@ -21,18 +21,6 @@ import numpy as np
 from repro.baselines.assembled import AssembledOperator
 from repro.core.da import DistributedArray
 from repro.core.hymv import HymvOperator
-from repro.core.kernels import (
-    accumulate_element_vectors,
-    emv_columns,
-    gather_element_vectors,
-)
-from repro.core.scatter import (
-    gather_begin,
-    gather_end,
-    scatter,
-    scatter_begin,
-    scatter_end,
-)
 from repro.gpu.streams import StreamScheduler
 from repro.perfmodel.machine import FRONTERA, GPU_NODE, FronteraMachine, GpuModel
 
@@ -60,13 +48,12 @@ class HymvGpuOperator(HymvOperator):
         gpu: GpuModel = GPU_NODE,
         machine: FronteraMachine = FRONTERA,
         threads: int = 4,
-        workspace: bool = True,
         ke_cache: dict | None = None,
         elem_scale: np.ndarray | None = None,
     ):
         super().__init__(
             comm, lmesh, operator, ranges=ranges, kernel=kernel,
-            workspace=workspace, ke_cache=ke_cache, elem_scale=elem_scale,
+            ke_cache=ke_cache, elem_scale=elem_scale,
         )
         if scheme not in ("gpu", "gpu_cpu_overlap", "gpu_gpu_overlap"):
             raise ValueError(f"unknown GPU scheme {scheme!r}")
@@ -101,60 +88,55 @@ class HymvGpuOperator(HymvOperator):
     def _device_sweep(
         self, u: DistributedArray, v: DistributedArray, sl: slice
     ) -> float:
-        """Run one batched EMV on the device; returns modeled duration."""
-        idx = self.e2l_dofs[sl]
-        if idx.shape[0] == 0:
+        """Run one batched EMV on the device; returns modeled duration.
+
+        Host ``bue`` assembly (Alg. 3 line 3), the chunked stream
+        pipeline, and host ``bve`` accumulation (line 8); the numerics
+        are the shared elemental sweep."""
+        E = self.e2l_dofs[sl].shape[0]
+        if E == 0:
             return 0.0
-        ke = self.ke[sl]
-        uf = u.data.reshape(-1)
-        vf = v.data.reshape(-1)
-        # host: build bue (pinned staging buffer), Alg. 3 line 3
-        if self._ws is not None:
-            ue, _ = self._ws.views(idx.shape[0])
-            gather_element_vectors(uf, idx, out=ue)
-        else:
-            ue = gather_element_vectors(uf, idx)
-        t_host = ue.nbytes / self._host_rate()
-        # device: chunked pipeline
+        nd = self.e2l_dofs.shape[1]
+        vec_bytes = E * nd * 8
+        t_host = vec_bytes / self._host_rate()
         sched = StreamScheduler(gpu=self.gpu, n_streams=self.n_streams)
-        E, nd = ue.shape
         t_pipe = sched.run_batch(
-            h2d_bytes=ue.nbytes,
+            h2d_bytes=vec_bytes,
             kernel_flops=2.0 * E * nd * nd,
-            kernel_bytes=ke.nbytes,
-            d2h_bytes=ue.nbytes,
+            kernel_bytes=self.ke[sl].nbytes,
+            d2h_bytes=vec_bytes,
         )
         self.last_timeline = sched
         obs = self.comm.obs
-        obs.incr("gpu.h2d_bytes", ue.nbytes)
-        obs.incr("gpu.d2h_bytes", ue.nbytes)
+        obs.incr("gpu.h2d_bytes", vec_bytes)
+        obs.incr("gpu.d2h_bytes", vec_bytes)
         obs.incr("gpu.kernel_flops", 2.0 * E * nd * nd)
         obs.incr("gpu.batches")
         sched.export_events(obs, t_offset=self.comm.vtime)
-        ve = self._kernel_into(ke, ue, sl)  # actual math (device-equivalent)
-        # host: accumulate bve, Alg. 3 line 8
-        self._accumulate(vf, idx, ve, sl)
-        t_host += ve.nbytes / self._host_rate()
+        self._sweep_numerics(u, v, sl)  # actual math (device-equivalent)
+        t_host += vec_bytes / self._host_rate()
         return t_host + t_pipe
 
-    def _kernel_into(self, ke, ue, sl) -> np.ndarray:
-        """Run the EMV kernel, through the workspace when enabled."""
-        if self._ws is None:
-            return self.kernel(ke, ue)
-        _, ve = self._ws.views(ue.shape[0])
-        if self.kernel is emv_columns:
-            return emv_columns(
-                ke, ue, out=ve, tmp=self._ws.tmp[: ue.shape[0]],
-                columns=self._columns_batch(sl),
-            )
-        return self.kernel(ke, ue, out=ve)
+    def _cpu_sweep(
+        self, u: DistributedArray, v: DistributedArray, sl: slice
+    ) -> float:
+        """Host EMV of a subset; returns modeled CPU duration."""
+        E = self.e2l_dofs[sl].shape[0]
+        if E == 0:
+            return 0.0
+        self._sweep_numerics(u, v, sl)
+        r = self.machine.rates
+        eff = self.threads * r.omp_efficiency if self.threads > 1 else 1.0
+        flops = 2.0 * E * self.e2l_dofs.shape[1] ** 2
+        return flops / (r.emv_gflops * 1e9 * eff)
 
-    def _accumulate(self, vf, idx, ve, sl) -> None:
-        seg = self._segment_for(sl) if self._ws is not None else None
-        if seg is not None:
-            seg.add_into(vf, ve)
-        else:
-            accumulate_element_vectors(vf, idx, ve)
+    def _sweep_numerics(self, u, v, sl) -> None:
+        """The shared gather → product → segment-accumulate step; the
+        device's cost is modeled by the caller, not counted here."""
+        self._emv_sweep(
+            u.data.reshape(-1, 1), v.data.reshape(-1, 1), sl, False,
+            account=False,
+        )
 
     def spmv(
         self,
@@ -162,60 +144,39 @@ class HymvGpuOperator(HymvOperator):
         v: DistributedArray,
         overlap: bool | None = None,
     ) -> DistributedArray:
+        """Scheme dispatch of Algorithm 3.  ``overlap=None`` runs the
+        configured scheme; the base-class flag maps ``True`` to
+        ``gpu_gpu_overlap`` and ``False`` to the blocking ``gpu``."""
         comm = self.comm
-        halo = self.halo
+        halo = self.halos[1]
         t0 = comm.vtime
         v.data[:] = 0.0
         scheme = self.scheme
-        if overlap is not None:  # the base-class flag maps onto schemes
-            scheme = "gpu_gpu_overlap" if overlap else scheme
-
-        def _scatter_begin():
-            if halo is not None:
-                return halo.scatter_begin(comm, u.data)
-            return scatter_begin(comm, u.data, self.cmaps)
-
-        def _scatter_end(reqs):
-            if halo is not None:
-                halo.scatter_end(comm, u.data, reqs)
-            else:
-                scatter_end(comm, u.data, self.cmaps, reqs)
-
+        if overlap is not None:
+            scheme = "gpu_gpu_overlap" if overlap else "gpu"
         if scheme == "gpu":
-            if halo is not None:
-                halo.scatter(comm, u.data)
-            else:
-                scatter(comm, u.data, self.cmaps)
+            halo.scatter(comm, u.data)
             if self._check_ghosts:
-                self._verify_ghosts(u)
+                self._verify_ghosts(u.data)
             comm.advance(self._device_sweep(u, v, self._sl_all), "spmv.gpu")
-        elif scheme == "gpu_gpu_overlap":
-            reqs = _scatter_begin()
-            comm.advance(
-                self._device_sweep(u, v, self._sl_indep), "spmv.gpu.independent"
-            )
-            _scatter_end(reqs)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            comm.advance(
-                self._device_sweep(u, v, self._sl_dep), "spmv.gpu.dependent"
-            )
-        else:  # gpu_cpu_overlap: dependent elements on the host CPU
-            reqs = _scatter_begin()
-            comm.advance(
-                self._device_sweep(u, v, self._sl_indep), "spmv.gpu.independent"
-            )
-            _scatter_end(reqs)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            t_cpu = self._cpu_sweep(u, v, self._sl_dep)
-            comm.advance(t_cpu, "spmv.cpu.dependent")
-        if halo is not None:
-            halo.gather_end(comm, v.data, halo.gather_begin(comm, v.data))
         else:
-            greqs = gather_begin(comm, v.data, self.cmaps)
-            gather_end(comm, v.data, self.cmaps, greqs)
-        comm.timing.add("spmv.total", comm.vtime - t0)
+            reqs = halo.scatter_begin(self.comm, u.data)
+            comm.advance(
+                self._device_sweep(u, v, self._sl_indep), "spmv.gpu.independent"
+            )
+            halo.scatter_end(comm, u.data, reqs)
+            if self._check_ghosts:
+                self._verify_ghosts(u.data)
+            if scheme == "gpu_gpu_overlap":
+                comm.advance(
+                    self._device_sweep(u, v, self._sl_dep), "spmv.gpu.dependent"
+                )
+            else:  # gpu_cpu_overlap: dependent elements on the host CPU
+                comm.advance(
+                    self._cpu_sweep(u, v, self._sl_dep), "spmv.cpu.dependent"
+                )
+        halo.gather(comm, v.data)
+        comm.obs.record("spmv.total", vtime=comm.vtime - t0)
         self.spmv_count += 1
         return v
 
@@ -257,26 +218,6 @@ class HymvGpuOperator(HymvOperator):
             t_host = 2.0 * vec_bytes / self._host_rate()
             comm.advance(t_host + t_pipe, "spmv.gpu.multivector")
         return v
-
-    def _cpu_sweep(
-        self, u: DistributedArray, v: DistributedArray, sl: slice
-    ) -> float:
-        """Host EMV of a subset; returns modeled CPU duration."""
-        idx = self.e2l_dofs[sl]
-        if idx.shape[0] == 0:
-            return 0.0
-        ke = self.ke[sl]
-        if self._ws is not None:
-            ue, _ = self._ws.views(idx.shape[0])
-            gather_element_vectors(u.data.reshape(-1), idx, out=ue)
-        else:
-            ue = gather_element_vectors(u.data.reshape(-1), idx)
-        ve = self._kernel_into(ke, ue, sl)
-        self._accumulate(v.data.reshape(-1), idx, ve, sl)
-        r = self.machine.rates
-        eff = self.threads * r.omp_efficiency if self.threads > 1 else 1.0
-        flops = 2.0 * ue.shape[0] * ue.shape[1] ** 2
-        return flops / (r.emv_gflops * 1e9 * eff)
 
 
 class AssembledGpuOperator(AssembledOperator):
@@ -323,27 +264,27 @@ class AssembledGpuOperator(AssembledOperator):
         # kept for signature parity with the EBE operators
         comm = self.comm
         t0 = comm.vtime
-        if not hasattr(self, "_work_u"):
-            self._work_u = self.new_array()
-        u = self._work_u
+        u = self._work(1)
         u.set_owned(x)
         # halo staged through the host: D2H of owned boundary values,
         # MPI exchange, H2D of received ghosts
         ghost_bytes = sum(s.size for s in self.cmaps.recv_slots) * self.ndpn * 8.0
         comm.advance(ghost_bytes / (self.gpu.pcie_gbps * 1e9), "spmv.halo.d2h")
-        scatter(comm, u.data, self.cmaps)
+        self.halos[1].scatter(comm, u.node_view)
         comm.advance(ghost_bytes / (self.gpu.pcie_gbps * 1e9), "spmv.halo.h2d")
+        flat = u.data.reshape(-1)
         npre = self.maps.n_pre * self.ndpn
-        y = self.A_diag @ u.owned_flat
+        off = npre + self.n_dofs_owned
+        y = self.A_diag @ flat[npre:off]
         if self.A_pre.shape[1]:
-            y += self.A_pre @ u.data.reshape(-1)[:npre]
+            y += self.A_pre @ flat[:npre]
         if self.A_post.shape[1]:
-            y += self.A_post @ u.data.reshape(-1)[npre + self.n_dofs_owned:]
+            y += self.A_post @ flat[off:]
         csr_bytes = self.stored_bytes() + y.nbytes * 2
         comm.advance(
             csr_bytes / (self.gpu.csr_gbps * 1e9) + self.gpu.kernel_launch_s,
             "spmv.cusparse",
         )
-        comm.timing.add("spmv.total", comm.vtime - t0)
+        comm.obs.record("spmv.total", vtime=comm.vtime - t0)
         self.spmv_count += 1
         return y

@@ -2,10 +2,9 @@
 
 One :class:`Instrumentation` instance per rank (owned by its
 :class:`~repro.simmpi.communicator.Communicator`) plus an optional
-process-wide instance for harness-level phases.  It subsumes the old
-``repro.util.timer.TimingRecord`` API (``add``/``total``/``mean``/
-``merge``/``as_dict``), so every call site that used the ad-hoc plumbing
-keeps working, and adds the three things the paper's analysis needs:
+process-wide instance for harness-level phases.  Besides per-label
+totals (``total``/``mean``/``merge``/``as_dict``) it provides the three
+things the paper's analysis needs:
 
 * **hierarchical phase timers** — dotted paths (``spmv.emv.independent``)
   accumulating both *wall* seconds and *virtual* (modeled) seconds, with
@@ -218,12 +217,8 @@ class Instrumentation:
             self.events.append(TraceEvent(label, t0, t1, kind, meta))
 
     # ------------------------------------------------------------------
-    # TimingRecord-compatible surface (the old ad-hoc API)
+    # per-label totals
     # ------------------------------------------------------------------
-
-    def add(self, label: str, seconds: float) -> None:
-        """Accumulate virtual seconds under ``label`` (legacy API)."""
-        self.record(label, vtime=seconds)
 
     def total(self, label: str) -> float:
         s = self.phases.get(label)
@@ -238,8 +233,7 @@ class Instrumentation:
         return s.vtime / s.count if s is not None and s.count else 0.0
 
     def merge(self, other: "Instrumentation") -> None:
-        """Accumulate another instrumentation into this one (sum-reduce;
-        the legacy ``TimingRecord.merge`` semantics)."""
+        """Accumulate another instrumentation into this one (sum-reduce)."""
         for label, stats in other.phases.items():
             self.record(
                 label, vtime=stats.vtime, wall=stats.wall, count=stats.count
@@ -249,16 +243,12 @@ class Instrumentation:
         self.events.extend(other.events)
 
     def as_dict(self) -> dict[str, float]:
-        """Virtual-time totals keyed by label (legacy breakdown dict)."""
+        """Virtual-time totals keyed by label (breakdown dict)."""
         return {label: s.vtime for label, s in self.phases.items()}
 
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
-
-    @property
-    def totals(self) -> dict[str, float]:
-        return self.as_dict()
 
     def snapshot(self, events: bool = False) -> dict[str, Any]:
         """JSON-able view of this rank's phases and counters."""

@@ -93,8 +93,8 @@ class SolverService:
         most ``sellcs_crossover_dofs`` dofs (where the sellcs bench
         measured it winning the batched apply), HYMV above it.  Pass the
         sellcs-bench report's ``config.sellcs_crossover_dofs`` via
-        :func:`repro.serve.loadgen.load_calibrated_crossover` (the
-        ``--k-min-from`` convention); with no calibration, ``"auto"``
+        :func:`repro.tune.calibration.load_tuned_config` (knob
+        ``sellcs_crossover_dofs``); with no calibration, ``"auto"``
         keeps every shape on HYMV.  Routed batches are counted in
         ``backend_histogram`` and the ``serve.backend.*`` counters.
 

@@ -45,7 +45,7 @@ from repro.obs.schema import (
 )
 from repro.serve.batcher import BatchPolicy, DeadlineBatcher
 from repro.serve.cache import OperatorCache, ProblemKey
-from repro.serve.loadgen import SPMV_REL_TOL, load_calibrated_k_min
+from repro.serve.loadgen import SPMV_REL_TOL
 from repro.serve.queue import ServeRequest
 from repro.serve.service import SolverService
 from repro.serve.shard import ShardCluster, ShardRouter
@@ -605,7 +605,9 @@ def main(argv: list[str] | None = None) -> int:
 
     k_min = args.k_min
     if k_min is None and args.k_min_from is not None:
-        k_min = load_calibrated_k_min(args.k_min_from)
+        calibrated = load_tuned_config(args.k_min_from)
+        if calibrated is not None and calibrated.get("gemm_k_min") is not None:
+            k_min = int(calibrated.get("gemm_k_min"))
         if not args.quiet and k_min is not None:
             print(f"[shard] calibrated k_min={k_min} from {args.k_min_from}")
     if k_min is None and tuned is not None and tuned.get("gemm_k_min") is not None:

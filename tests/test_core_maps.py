@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.maps import build_node_maps
-from repro.core.scatter import build_comm_maps, gather, scatter
+from repro.core.scatter import HaloExchange, build_comm_maps
 from repro.mesh import ElementType, box_hex_mesh, box_tet_mesh
 from repro.partition import build_partition
 from repro.simmpi import run_spmd
@@ -84,7 +84,7 @@ def test_scatter_delivers_owner_values(p):
         data = np.zeros((maps.n_total, 1))
         # owned entries get their global id
         data[maps.owned_slice, 0] = np.arange(lmesh.n_begin, lmesh.n_end)
-        scatter(comm, data, cmaps)
+        HaloExchange(cmaps, 1).scatter(comm, data)
         l2g = maps.local_to_global()
         np.testing.assert_array_equal(data[:, 0], l2g)
         return True
@@ -102,7 +102,7 @@ def test_gather_accumulates_each_contribution_once():
         maps = build_node_maps(lmesh.e2g, lmesh.n_begin, lmesh.n_end)
         cmaps = build_comm_maps(comm, maps)
         data = np.ones((maps.n_total, 1))
-        gather(comm, data, cmaps)
+        HaloExchange(cmaps, 1).gather(comm, data)
         return maps, data
 
     res, _ = run_spmd(p, prog, rank_args=[(part.local(r),) for r in range(p)])
@@ -130,8 +130,9 @@ def test_scatter_then_gather_is_multiplicity_weighting():
         cmaps = build_comm_maps(comm, maps)
         data = np.zeros((maps.n_total, 1))
         data[maps.owned_slice, 0] = vals[lmesh.n_begin: lmesh.n_end]
-        scatter(comm, data, cmaps)
-        gather(comm, data, cmaps)
+        halo = HaloExchange(cmaps, 1)
+        halo.scatter(comm, data)
+        halo.gather(comm, data)
         return maps, data[maps.owned_slice, 0]
 
     res, _ = run_spmd(p, prog, rank_args=[(part.local(r),) for r in range(p)])

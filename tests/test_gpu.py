@@ -231,6 +231,36 @@ def test_gpu_operator_single_element_ranks():
     )
 
 
+@pytest.mark.parametrize("overlap", [False, True])
+def test_gpu_spmv_overlap_flag_selects_blocking_or_overlapped_scheme(overlap):
+    """``spmv(overlap=False)`` is the blocking variant on every operator:
+    on the GPU it runs the ``gpu`` scheme (one device batch after the
+    ghost exchange), whatever scheme the operator was configured with;
+    ``overlap=True`` runs the overlapped device pipeline."""
+    from repro.fem import PoissonOperator
+    from repro.gpu import HymvGpuOperator
+    from repro.mesh import box_hex_mesh
+    from repro.partition import build_partition
+    from repro.simmpi import run_spmd
+
+    mesh = box_hex_mesh(3, 3, 4)
+    part = build_partition(mesh, 2, method="slab")
+
+    def prog(comm, lmesh):
+        A = HymvGpuOperator(comm, lmesh, PoissonOperator())
+        u, v = A.new_array(), A.new_array()
+        u.set_owned(np.ones(A.n_dofs_owned))
+        A.spmv(u, v, overlap=overlap)
+        return set(comm.obs.phases)
+
+    phases, _ = run_spmd(2, prog, rank_args=[(part.local(r),) for r in range(2)])
+    for ph in phases:
+        if overlap:
+            assert "spmv.gpu.independent" in ph and "spmv.gpu" not in ph
+        else:
+            assert "spmv.gpu" in ph and "spmv.gpu.independent" not in ph
+
+
 @pytest.mark.parametrize("scheme", ["gpu", "gpu_cpu_overlap", "gpu_gpu_overlap"])
 def test_gpu_solve_unchanged_under_noncorrupting_faults(scheme):
     """The GPU pipeline rides the same fault-tolerant exchange: delays,

@@ -17,9 +17,10 @@ import pytest
 
 from repro.baselines import AssembledOperator, MatrixFreeOperator
 from repro.baselines.partial import PartialAssemblyOperator
+from repro.baselines.sellcs import SellCSOperator
 from repro.core import HymvOperator
 from repro.fem import ElasticityOperator, PoissonOperator
-from repro.gpu import HymvGpuOperator
+from repro.gpu import AssembledGpuOperator, HymvGpuOperator
 from repro.mesh import ElementType, jittered_hex_mesh
 from repro.partition import build_partition
 from repro.problems import poisson_problem
@@ -34,7 +35,9 @@ FACTORIES = {
     "matfree": MatrixFreeOperator,
     "partial": PartialAssemblyOperator,
     "assembled": AssembledOperator,
+    "sellcs": SellCSOperator,
     "hymv_gpu": HymvGpuOperator,
+    "assembled_gpu": AssembledGpuOperator,
 }
 
 N_PARTS = 4
@@ -46,15 +49,17 @@ def _mesh_op():
     return mesh, op
 
 
-def _multi_vs_single(kind: str, k: int, workspace: bool, mode: str | None = None):
+def _multi_vs_single(
+    kind: str, k: int, mode: str | None = None, gemm_k_min: int | None = None
+):
     mesh, op = _mesh_op()
     part = build_partition(mesh, N_PARTS, method="graph")
     n = mesh.n_nodes * op.ndpn
     X = np.random.default_rng(7 * k + 1).standard_normal((n, k))
 
     def prog(comm, lmesh, Xr):
-        opts = {} if kind == "assembled" else {"workspace": workspace}
-        A = FACTORIES[kind](comm, lmesh, op, **opts)
+        A = FACTORIES[kind](comm, lmesh, op)
+        A.gemm_k_min = gemm_k_min
         singles = np.column_stack(
             [A.apply_owned(np.ascontiguousarray(Xr[:, j])) for j in range(k)]
         )
@@ -62,7 +67,9 @@ def _multi_vs_single(kind: str, k: int, workspace: bool, mode: str | None = None
             multi = A.apply_owned_multi(Xr)
         else:
             multi = A.apply_owned_multi(Xr, mode=mode)
-        return bool(np.array_equal(singles, multi)), multi
+        close = np.allclose(singles, multi, rtol=1e-12,
+                            atol=1e-12 * float(np.abs(singles).max()))
+        return bool(np.array_equal(singles, multi)), multi, bool(close)
 
     ndpn = op.ndpn
     rank_args = []
@@ -76,16 +83,19 @@ def _multi_vs_single(kind: str, k: int, workspace: bool, mode: str | None = None
 @pytest.mark.parametrize("kind", sorted(FACTORIES))
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_apply_multi_bitwise_per_column(kind, k):
-    results = _multi_vs_single(kind, k, workspace=True)
-    assert all(ok for ok, _ in results)
+    results = _multi_vs_single(kind, k)
+    assert all(ok for ok, _, _ in results)
 
 
-@pytest.mark.parametrize(
-    "kind", [k for k in sorted(FACTORIES) if k != "assembled"]
-)
-def test_apply_multi_bitwise_without_workspace(kind):
-    results = _multi_vs_single(kind, 3, workspace=False)
-    assert all(ok for ok, _ in results)
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+def test_gemm_k_min_1_single_column_batch(kind):
+    # gemm_k_min=1 sends a 1-wide batch down the GEMM path: it must run
+    # (no k == 1 special case to fall back on) and match single-RHS to
+    # rounding
+    results = _multi_vs_single(kind, 1, gemm_k_min=1)
+    for _, multi, close in results:
+        assert multi.ndim == 2 and multi.shape[1] == 1
+        assert close
 
 
 @pytest.mark.parametrize("kind", sorted(FACTORIES))
@@ -95,15 +105,8 @@ def test_mode_oracle_pins_bitwise_above_default_k_min(kind):
     # per-column bitwise contract regardless of batch width
     from repro.core.kernels import DEFAULT_K_MIN
 
-    results = _multi_vs_single(kind, DEFAULT_K_MIN, workspace=True,
-                               mode="oracle")
-    assert all(ok for ok, _ in results)
-
-
-def test_workspace_choice_does_not_change_bits():
-    with_ws = np.vstack([m for _, m in _multi_vs_single("hymv", 2, True)])
-    without = np.vstack([m for _, m in _multi_vs_single("hymv", 2, False)])
-    assert np.array_equal(with_ws, without)
+    results = _multi_vs_single(kind, DEFAULT_K_MIN, mode="oracle")
+    assert all(ok for ok, _, _ in results)
 
 
 def test_multivector_shape_validation():
@@ -236,5 +239,5 @@ def test_elasticity_mesh_has_multiple_ranks_of_work():
 @pytest.mark.parametrize("etype", [ElementType.HEX8])
 def test_elasticity_multivector_elementtype(etype):
     # ndpn=3 stresses the packed (ndpn*k)-wide halo path
-    results = _multi_vs_single("hymv", 2, workspace=True)
-    assert all(ok for ok, _ in results)
+    results = _multi_vs_single("hymv", 2)
+    assert all(ok for ok, _, _ in results)

@@ -66,15 +66,16 @@ def test_record_accumulates_samples():
 
 
 def test_legacy_timing_record_api():
+    """Per-label totals, breakdown dict and merge."""
     obs = Instrumentation()
-    obs.add("setup", 1.0)
-    obs.add("setup", 0.5)
+    obs.record("setup", vtime=1.0)
+    obs.record("setup", vtime=0.5)
     assert obs.total("setup") == pytest.approx(1.5)
     assert obs.total("missing") == 0.0
     assert obs.as_dict() == {"setup": pytest.approx(1.5)}
 
     other = Instrumentation()
-    other.add("setup", 1.0)
+    other.record("setup", vtime=1.0)
     other.incr("elements", 7)
     obs.merge(other)
     assert obs.total("setup") == pytest.approx(2.5)

@@ -14,6 +14,7 @@ from repro.core import HymvOperator
 from repro.fem import ElasticityOperator, PoissonOperator
 from repro.gpu import AssembledGpuOperator, HymvGpuOperator
 from repro.mesh import ElementType, box_hex_mesh, box_tet_mesh, jittered_hex_mesh
+from repro.obs.kernelbench import reference_spmv
 from repro.partition import build_partition
 from repro.simmpi import run_spmd
 
@@ -170,7 +171,10 @@ def test_single_rank_needs_no_communication():
 def test_workspace_path_bitwise_identical_to_legacy(kind, kernel, p):
     """The zero-allocation hot path (workspaces, segment scatter, packed
     halo buffers, column-major matrix layout) must not change a single
-    bit of any SPMV product relative to the legacy allocating path."""
+    bit of any SPMV product relative to the legacy allocating
+    composition, :func:`repro.obs.kernelbench.reference_spmv`.  At p > 1
+    the reference's local sweeps run between a blocking ghost fill and
+    ghost accumulation through the operator's own halo exchange."""
     mesh = jittered_hex_mesh(3, 3, 4, ElementType.HEX8, jitter=0.1)
     op = ElasticityOperator()
     part = build_partition(mesh, p, method="graph" if p > 1 else "slab")
@@ -178,15 +182,19 @@ def test_workspace_path_bitwise_identical_to_legacy(kind, kernel, p):
     x = rng.standard_normal(mesh.n_nodes * 3)
 
     def prog(comm, lmesh, xo):
+        A = FACTORIES[kind](comm, lmesh, op, kernel=kernel)
+        halo = A.halos[1]
         ys = []
-        for workspace in (False, True):
-            A = FACTORIES[kind](
-                comm, lmesh, op, kernel=kernel, workspace=workspace
-            )
+        for path in ("operator", "reference"):
             u, v = A.new_array(), A.new_array()
             u.set_owned(xo)
             for _ in range(3):  # steady state: buffers fully reused
-                A.spmv(u, v)
+                if path == "operator":
+                    A.spmv(u, v)
+                else:
+                    halo.scatter(comm, u.data)
+                    reference_spmv(A, u, v)
+                    halo.gather(comm, v.data)
             ys.append(v.owned_flat.copy())
         return np.array_equal(ys[0], ys[1])
 
