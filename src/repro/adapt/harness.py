@@ -23,9 +23,6 @@ bench-schema projection ``BENCH_adapt.json`` for ``repro.obs.compare``.
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -34,12 +31,8 @@ import numpy as np
 
 from repro.adapt.delta import CrackFront, MeshDelta
 from repro.obs.instrumentation import Instrumentation
-from repro.obs.schema import (
-    new_adapt_doc,
-    new_bench_doc,
-    validate_adapt_doc,
-    validate_bench_doc,
-)
+from repro.obs.report import emit, harness_parser
+from repro.obs.schema import ADAPT_SCHEMA, BENCH_SCHEMA, new_doc
 from repro.serve.cache import (
     DEFAULT_RATE_GFLOPS,
     OperatorCache,
@@ -47,7 +40,7 @@ from repro.serve.cache import (
     SolverContext,
 )
 
-__all__ = ["AdaptScenario", "run_scenario", "run_adapt_suite", "main"]
+__all__ = ["AdaptScenario", "gate", "run_scenario", "run_adapt_suite", "main"]
 
 #: front granularity: the crack advances 1/N of the domain per step, so
 #: a scale delta touches ~1/N of the band — small enough for the patch
@@ -236,7 +229,7 @@ def run_adapt_suite(
     seed: int = 1234, smoke: bool = True, verbose: bool = True
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     """Run the standard scenarios; returns ``(adapt_doc, bench_doc)``."""
-    doc = new_adapt_doc(config={"seed": seed, "smoke": smoke})
+    doc = new_doc(ADAPT_SCHEMA, {"seed": seed, "smoke": smoke}, scenarios=[])
     for sc in suite_scenarios(smoke=smoke):
         if verbose:
             print(f"[adapt] scenario {sc.name} ...", flush=True)
@@ -253,15 +246,13 @@ def run_adapt_suite(
                 f"({c['speedup_vs_rebuild']:.1f}x), "
                 f"wrong {v['wrong_answers']}"
             )
-    return validate_adapt_doc(doc), validate_bench_doc(_bench_doc(doc))
+    return doc, _bench_doc(doc)
 
 
 def _bench_doc(adapt_doc: dict[str, Any]) -> dict[str, Any]:
     """Project the adapt report onto the standard bench schema so the
     existing ``repro.obs.compare`` gate applies unchanged."""
-    bench = new_bench_doc(
-        suite="adapt", repeats=1, config=dict(adapt_doc["config"])
-    )
+    results = []
     for sc in adapt_doc["scenarios"]:
         steps = sc["steps_detail"]
         phases = {}
@@ -280,7 +271,7 @@ def _bench_doc(adapt_doc: dict[str, Any]) -> dict[str, Any]:
             "adapt.patches": sc["deltas"]["patches"],
             "adapt.rebuilds": sc["deltas"]["rebuilds"],
         }
-        bench["results"].append({
+        results.append({
             "case": f"adapt-{sc['scenario']}",
             "method": sc["method"],
             "n_parts": sc["n_parts"],
@@ -288,51 +279,50 @@ def _bench_doc(adapt_doc: dict[str, Any]) -> dict[str, Any]:
             "phases": phases,
             "counters": counters,
         })
-    return bench
+    return new_doc(
+        BENCH_SCHEMA, adapt_doc["config"], suite="adapt", repeats=1,
+        results=results,
+    )
+
+
+def gate(doc: dict[str, Any]) -> list[str]:
+    """Adapt gate, per scenario: no wrong answer, every differential
+    check bitwise, and the delta path cheaper than a full rebuild."""
+    failures = []
+    for sc in doc["scenarios"]:
+        name, v, c = sc["scenario"], sc["verify"], sc["costs"]
+        if v["wrong_answers"]:
+            failures.append(f"{name}: {v['wrong_answers']} wrong answer(s)")
+        if v["bitwise"] != v["checks"]:
+            failures.append(
+                f"{name}: {v['bitwise']}/{v['checks']} checks bitwise"
+            )
+        if not c["delta_s"] < c["rebuild_s"]:
+            failures.append(
+                f"{name}: delta path ({c['delta_s']:.3e} s) not cheaper "
+                f"than rebuild ({c['rebuild_s']:.3e} s)"
+            )
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness adapt",
-        description="Incremental-update harness: delta streams against "
-        "warm cached operators, every step differentially verified "
-        "(bitwise) against a fresh build; emits ADAPT_report.json "
-        "(+ BENCH_adapt.json for the compare gate)",
+    ap = harness_parser(
+        "adapt",
+        "Incremental-update harness: delta streams against warm cached "
+        "operators, every step differentially verified (bitwise) against "
+        "a fresh build; emits ADAPT_report.json (+ BENCH_adapt.json for "
+        "the compare gate)",
+        out="ADAPT_report.json",
+        bench_out="BENCH_adapt.json",
+        smoke="CI-sized scenarios (fewer steps; same structure)",
     )
-    ap.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized scenarios (fewer steps; same structure)",
-    )
-    ap.add_argument("--seed", type=int, default=1234)
-    ap.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path("ADAPT_report.json"),
-        help="adapt report path (default: ./ADAPT_report.json)",
-    )
-    ap.add_argument(
-        "--bench-out",
-        type=pathlib.Path,
-        default=pathlib.Path("BENCH_adapt.json"),
-        help="bench-schema projection path (default: ./BENCH_adapt.json)",
-    )
-    ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
-
     doc, bench = run_adapt_suite(
         seed=args.seed, smoke=args.smoke, verbose=not args.quiet
     )
-    for path, payload in ((args.out, doc), (args.bench_out, bench)):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    wrong = sum(sc["verify"]["wrong_answers"] for sc in doc["scenarios"])
-    if not args.quiet:
-        print(f"\n[adapt] wrote {args.out} and {args.bench_out}")
-    if wrong:
-        print(f"[adapt] FAIL: {wrong} wrong answer(s)", file=sys.stderr)
-        return 1
-    return 0
+    return emit(
+        "adapt", [(args.out, doc), (args.bench_out, bench)], gate, args.quiet
+    )
 
 
 if __name__ == "__main__":

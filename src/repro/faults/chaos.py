@@ -22,9 +22,6 @@ iterations and faults land mid-solve.
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
 import sys
 
 import numpy as np
@@ -38,9 +35,10 @@ from repro.faults.plan import (
     Reorder,
     Straggler,
 )
-from repro.obs.schema import new_chaos_doc, validate_chaos_doc
+from repro.obs.report import emit, harness_parser
+from repro.obs.schema import CHAOS_SCHEMA, new_doc
 
-__all__ = ["run_chaos", "main"]
+__all__ = ["gate", "run_chaos", "main"]
 
 #: relative tolerance of the chaos CG solves
 SOLVE_RTOL = 1e-10
@@ -181,15 +179,17 @@ def run_chaos(
     x_ref = ref.solution
     scale = float(np.abs(x_ref).max()) or 1.0
 
-    doc = new_chaos_doc(
-        config={
+    doc = new_doc(
+        CHAOS_SCHEMA,
+        {
             "nel": nel,
             "n_ranks": n_ranks,
             "seed": seed,
             "rtol": rtol,
             "edge": list(edges[0]),
             "reference_iterations": ref.iterations,
-        }
+        },
+        scenarios=[],
     )
     for sc in _scenarios(n_ranks, edges[0], seed):
         failures: list[str] = []
@@ -247,39 +247,41 @@ def run_chaos(
                 "rel_err": rel_err,
             }
         )
-    return validate_chaos_doc(doc)
+    return doc
+
+
+def gate(doc: dict) -> list[str]:
+    """Chaos gate: every scenario met its expectations."""
+    return [
+        f"{s['scenario']}: {'; '.join(s['failures']) or 'not ok'}"
+        for s in doc["scenarios"]
+        if not s["ok"]
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness chaos",
-        description="Fault-injection scenario matrix over the CG solve",
+    ap = harness_parser(
+        "chaos",
+        "Fault-injection scenario matrix over the CG solve",
+        out="CHAOS_report.json",
+        smoke="CI-sized problem (smaller mesh)",
+        seed=0,
+        quiet=False,
     )
-    ap.add_argument("--smoke", action="store_true",
-                    help="CI-sized problem (smaller mesh)")
     ap.add_argument("--ranks", type=int, default=8)
     ap.add_argument("--nel", type=int, default=None,
                     help="elements per cube edge (default 6; 5 with --smoke)")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", type=pathlib.Path,
-                    default=pathlib.Path("CHAOS_report.json"))
     args = ap.parse_args(argv)
 
     nel = args.nel if args.nel is not None else (5 if args.smoke else 6)
     doc = run_chaos(nel=nel, n_ranks=args.ranks, seed=args.seed)
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-    n_ok = sum(1 for s in doc["scenarios"] if s["ok"])
     for s in doc["scenarios"]:
         status = "ok  " if s["ok"] else "FAIL"
         print(
             f"[{status}] {s['scenario']:<20s} iters={s['iterations']:>4d} "
             f"restarts={s['restarts']:>2d} rel_err={s['rel_err']:.3e}"
         )
-        for f in s["failures"]:
-            print(f"         - {f}")
-    print(f"{n_ok}/{len(doc['scenarios'])} scenarios ok -> {args.out}")
-    return 0 if n_ok == len(doc["scenarios"]) else 1
+    return emit("chaos", [(args.out, doc)], gate)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,11 @@
-"""Entry point: figures/tables, bench suites, chaos matrix, serve harness.
+"""Entry point: figures/tables plus the bench, chaos, serve, shard, adapt
+and tune harnesses.
+
+Every harness subcommand goes through :mod:`repro.obs.report`: it
+validates each report it writes against its declared schema and exits 1
+when its own gate fails (wrong answers, non-bitwise checks, lost
+verdicts, a winner worse than the defaults, ...), so a CI step needs only
+the command and the ``repro.obs.compare`` baseline diff.
 
 The usage examples below are generated from ``_EXAMPLES`` (one source of
 truth — the module docstring, ``--help`` epilog and README stay in sync
@@ -6,14 +13,18 @@ by construction).
 
 Usage::
 
-    python -m repro.harness                   # all experiments, small scale
-    python -m repro.harness fig7 fig10        # a subset of experiments
-    python -m repro.harness --scale paper     # paper-scale modeled series
-    python -m repro.harness --out results/    # also write one .txt per exp
-    python -m repro.harness bench             # smoke bench -> BENCH_smoke.json
+    python -m repro.harness                        # all experiments, small scale
+    python -m repro.harness fig7 fig10             # a subset of experiments
+    python -m repro.harness --scale paper          # paper-scale modeled series
+    python -m repro.harness --out results/         # also write one .txt per exp
+    python -m repro.harness bench                  # smoke bench -> BENCH_smoke.json
     python -m repro.harness bench --suite kernels  # SPMV hot-path microbench
-    python -m repro.harness chaos --smoke     # fault matrix -> CHAOS_report.json
-    python -m repro.harness serve --smoke     # load harness -> SERVE_report.json
+    python -m repro.harness bench --suite sellcs   # SELL-C-sigma sweep + crossover
+    python -m repro.harness chaos --smoke          # fault matrix -> CHAOS_report.json
+    python -m repro.harness serve --smoke          # load harness -> SERVE_report.json
+    python -m repro.harness shard --smoke          # sharded tier -> SHARD_report.json
+    python -m repro.harness adapt --smoke          # delta updates -> ADAPT_report.json
+    python -m repro.harness tune --smoke           # autotuner -> TUNE_report.json + tuned_config.json
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import sys
 # subcommand name -> (module with main(), one-line description)
 _COMMANDS = {
     "bench": ("repro.obs.bench", "bench suites -> BENCH_<suite>.json "
-              "(--suite smoke|kernels)"),
+              "(--suite smoke|kernels|sellcs)"),
     "chaos": ("repro.faults.chaos", "fault-injection matrix -> "
               "CHAOS_report.json (--smoke for CI size)"),
     "serve": ("repro.serve.loadgen", "batched-solver load harness -> "
@@ -47,6 +58,8 @@ _EXAMPLES = (
     ("python -m repro.harness bench", "smoke bench -> BENCH_smoke.json"),
     ("python -m repro.harness bench --suite kernels",
      "SPMV hot-path microbench"),
+    ("python -m repro.harness bench --suite sellcs",
+     "SELL-C-sigma sweep + crossover"),
     ("python -m repro.harness chaos --smoke",
      "fault matrix -> CHAOS_report.json"),
     ("python -m repro.harness serve --smoke",

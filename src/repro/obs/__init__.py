@@ -1,7 +1,10 @@
 """Unified observability: phase timers, counters, traces, bench gating.
 
 * :mod:`repro.obs.instrumentation` — the per-rank/process registry.
-* :mod:`repro.obs.schema` — the versioned ``BENCH_*.json`` document shape.
+* :mod:`repro.obs.schema` — the versioned report shapes, declared once
+  in one rule table and checked by one ``validate``.
+* :mod:`repro.obs.report` — the harness CLIs' shared flags and
+  validate / write / gate step.
 * :mod:`repro.obs.bench` — the CI smoke-bench suite (``python -m
   repro.harness bench``).
 * :mod:`repro.obs.compare` — the perf gate (``python -m repro.obs.compare
@@ -24,9 +27,7 @@ from repro.obs.schema import (
     SERVE_SCHEMA,
     SchemaError,
     machine_fingerprint,
-    validate_bench_doc,
-    validate_chaos_doc,
-    validate_serve_doc,
+    validate,
 )
 
 __all__ = [
@@ -43,7 +44,5 @@ __all__ = [
     "SERVE_SCHEMA",
     "SchemaError",
     "machine_fingerprint",
-    "validate_bench_doc",
-    "validate_chaos_doc",
-    "validate_serve_doc",
+    "validate",
 ]

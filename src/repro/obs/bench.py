@@ -16,17 +16,16 @@ seconds are still recorded per phase, but only as informational data.
 
 from __future__ import annotations
 
-import argparse
-import json
 import pathlib
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.obs.instrumentation import percentile
-from repro.obs.schema import new_bench_doc, validate_bench_doc
+from repro.obs.report import emit, harness_parser, install_tuned
+from repro.obs.schema import BENCH_SCHEMA, new_doc, result_key
 
-__all__ = ["SmokeCase", "SMOKE_CASES", "run_smoke_suite", "main"]
+__all__ = ["SmokeCase", "SMOKE_CASES", "gate", "run_smoke_suite", "main"]
 
 #: deterministic modeled EMV rate (GFLOP/s) used by element-sweep methods;
 #: deliberately slow so smoke-scale phase durations sit well above the
@@ -137,15 +136,17 @@ def run_smoke_suite(
     cases: tuple[SmokeCase, ...] = SMOKE_CASES,
     verbose: bool = True,
 ) -> dict[str, Any]:
-    """Run the full smoke matrix; returns a validated bench document."""
-    doc = new_bench_doc(
-        suite="smoke",
-        repeats=repeats,
-        config={
+    """Run the full smoke matrix; returns the bench document."""
+    doc = new_doc(
+        BENCH_SCHEMA,
+        {
             "modeled": modeled,
             "modeled_rate_gflops": MODELED_RATE_GFLOPS if modeled else None,
             "cases": [c.name for c in cases],
         },
+        suite="smoke",
+        repeats=repeats,
+        results=[],
     )
     for case in cases:
         for method in case.methods:
@@ -161,7 +162,7 @@ def run_smoke_suite(
                     f"(spmv.total {total * 1e3:.3f} ms, "
                     f"{len(res['phases'])} phases)"
                 )
-    return validate_bench_doc(doc)
+    return doc
 
 
 def _summary_table(doc: dict[str, Any]) -> str:
@@ -183,10 +184,40 @@ def _summary_table(doc: dict[str, Any]) -> str:
     return "\n".join(rows)
 
 
+def gate(doc: dict[str, Any]) -> list[str]:
+    """Bench gate.  The sellcs suite must record its verdicts: at least
+    one SELL row, the bitwise-vs-reference verdict on every SELL SPMV
+    row, the oracle verdict on every SELL GEMM row, and a positive (or
+    unmeasured) backend crossover.  The suites also raise in-process on
+    any mismatch; this re-checks what the artifact says."""
+    if doc["suite"] != "sellcs":
+        return []
+    rows = [r for r in doc["results"] if "sellcs" in r["method"]]
+    if not rows:
+        return ["no sellcs rows recorded"]
+    failures = [
+        f"{result_key(r)} lost its bitwise verdict"
+        for r in rows
+        if r["method"].endswith("-spmv")
+        and not r.get("bitwise_identical_to_reference")
+    ] + [
+        f"{result_key(r)} lost its oracle verdict"
+        for r in rows
+        if "gemm" in r["method"] and not r.get("oracle_bitwise_identical")
+    ]
+    crossover = doc["config"].get("sellcs_crossover_dofs", 0)
+    if crossover is not None and crossover <= 0:
+        failures.append(f"sellcs crossover {crossover} dofs is not positive")
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness bench",
-        description="Run a bench suite and emit BENCH_<suite>.json",
+    ap = harness_parser(
+        "bench",
+        "Run a bench suite and emit BENCH_<suite>.json",
+        out=None,
+        smoke=None,
+        seed=None,
     )
     ap.add_argument(
         "--suite",
@@ -199,12 +230,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     ap.add_argument(
         "--repeats", type=int, default=None, help="repeats per (case, method)"
-    )
-    ap.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=None,
-        help="output JSON path (default: ./BENCH_<suite>.json)",
     )
     ap.add_argument(
         "--measured",
@@ -222,20 +247,8 @@ def main(argv: list[str] | None = None) -> int:
         "defaults before running the suite (affects every default-layout "
         "SELL-C-sigma build)",
     )
-    ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
-    if args.tuned_from is not None:
-        from repro.tune.calibration import load_tuned_config
-
-        tuned = load_tuned_config(args.tuned_from)
-        if tuned is not None and tuned.get("sell_c") is not None:
-            from repro.core.sellcs import configure_sell_defaults
-
-            c = int(tuned.get("sell_c"))
-            sigma = int(tuned.get("sell_sigma_factor", 8)) * c
-            configure_sell_defaults(c, sigma)
-            if not args.quiet:
-                print(f"[bench] tuned SELL defaults C={c} sigma={sigma}")
+    install_tuned(args.tuned_from, "bench", args.quiet)
     if args.repeats is None:
         args.repeats = 3 if args.suite == "smoke" else 5
     if args.repeats < 1:
@@ -257,14 +270,10 @@ def main(argv: list[str] | None = None) -> int:
             modeled=not args.measured,
             verbose=not args.quiet,
         )
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if not args.quiet:
-        if args.suite == "smoke":
-            print()
-            print(_summary_table(doc))
-        print(f"\n[bench] wrote {args.out}")
-    return 0
+    if not args.quiet and args.suite == "smoke":
+        print()
+        print(_summary_table(doc))
+    return emit("bench", [(args.out, doc)], gate, args.quiet)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
-from repro.obs.schema import SchemaError, result_key, validate_bench_doc
+from repro.obs.schema import BENCH_SCHEMA, SchemaError, result_key, validate
 
 __all__ = ["Finding", "compare_docs", "markdown_summary", "main"]
 
@@ -262,8 +262,8 @@ def compare_docs(
     ``require_zero`` and ``min_speedup`` are the absolute candidate-side
     gates described in the module docstring.
     """
-    validate_bench_doc(base_doc)
-    validate_bench_doc(cand_doc)
+    validate(base_doc, BENCH_SCHEMA)
+    validate(cand_doc, BENCH_SCHEMA)
     findings: list[Finding] = []
     cand_by_key = {result_key(r): r for r in cand_doc["results"]}
     for base in base_doc["results"]:
@@ -275,13 +275,16 @@ def compare_docs(
             )
             continue
         if cand["n_dofs"] != base["n_dofs"] or cand["n_parts"] != base["n_parts"]:
+            # a shrunken problem would pass every budget, so a changed
+            # shape fails like a vanished phase does
             findings.append(
                 Finding(
-                    "warn",
+                    "fail",
                     key,
                     f"problem shape changed "
                     f"({base['n_dofs']} dofs/{base['n_parts']} parts -> "
-                    f"{cand['n_dofs']}/{cand['n_parts']}); skipping",
+                    f"{cand['n_dofs']}/{cand['n_parts']}); regenerate the "
+                    f"baseline if intentional",
                 )
             )
             continue
@@ -443,8 +446,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise SchemaError(
                     f"bad --min-speedup value {value!r} in {s!r}"
                 ) from None
-        base = validate_bench_doc(_load(args.baseline))
-        cand = validate_bench_doc(_load(args.candidate))
+        base = _load(args.baseline)
+        cand = _load(args.candidate)
         ok, findings = compare_docs(
             base,
             cand,

@@ -33,7 +33,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.obs.instrumentation import Instrumentation, percentile
-from repro.obs.schema import new_bench_doc, validate_bench_doc
+from repro.obs.schema import BENCH_SCHEMA, new_doc
 
 __all__ = [
     "KernelCase",
@@ -697,7 +697,7 @@ def run_sellcs_suite(
     cases: tuple[KernelCase, ...] = SELLCS_CASES,
     verbose: bool = True,
 ) -> dict[str, Any]:
-    """Run the SELL-C-sigma suite; returns a validated bench document.
+    """Run the SELL-C-sigma suite; returns the bench document.
 
     Writes the per-shape backend crossover into
     ``config.sellcs_crossover_dofs``: the largest benchmarked problem
@@ -707,10 +707,9 @@ def run_sellcs_suite(
     :func:`repro.tune.calibration.load_tuned_config`).  ``None``
     when HYMV won everywhere on this machine.
     """
-    doc = new_bench_doc(
-        suite="sellcs",
-        repeats=repeats,
-        config={
+    doc = new_doc(
+        BENCH_SCHEMA,
+        {
             "chunks": list(SELLCS_CHUNKS),
             "sigmas": "1,C,8C",
             "multirhs_ks": list(SELLCS_KS),
@@ -718,6 +717,9 @@ def run_sellcs_suite(
             "alloc_floor_bytes": ALLOC_FLOOR_BYTES,
             "measured": True,  # real wall clock — gate ratios, not medians
         },
+        suite="sellcs",
+        repeats=repeats,
+        results=[],
     )
     wins: list[int] = []
     for case in cases:
@@ -737,7 +739,7 @@ def run_sellcs_suite(
                 else "none measured (hymv fastest at every shape)"
             )
         )
-    return validate_bench_doc(doc)
+    return doc
 
 
 def run_kernels_suite(
@@ -745,16 +747,18 @@ def run_kernels_suite(
     cases: tuple[KernelCase, ...] = KERNEL_CASES,
     verbose: bool = True,
 ) -> dict[str, Any]:
-    """Run the kernels matrix; returns a validated bench document."""
-    doc = new_bench_doc(
-        suite="kernels",
-        repeats=repeats,
-        config={
+    """Run the kernels matrix; returns the bench document."""
+    doc = new_doc(
+        BENCH_SCHEMA,
+        {
             "kernels": list(KERNELS),
             "cases": [c.name for c in cases],
             "alloc_floor_bytes": ALLOC_FLOOR_BYTES,
             "measured": True,  # real wall clock — gate ratios, not medians
         },
+        suite="kernels",
+        repeats=repeats,
+        results=[],
     )
     for case in cases:
         if verbose:
@@ -779,4 +783,4 @@ def run_kernels_suite(
                 + (f"k={k_min}" if k_min is not None else
                    "none measured (oracle fastest at every k)")
             )
-    return validate_bench_doc(doc)
+    return doc

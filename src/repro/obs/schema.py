@@ -1,11 +1,12 @@
-"""Bench-document schema: versioning, machine fingerprint, validation.
+"""Report-document schemas: versioning, machine fingerprint, validation.
 
-``BENCH_smoke.json`` is the machine-readable artifact the CI perf gate
-exchanges between runs, so its shape is versioned and validated on both
-the write path (:mod:`repro.obs.bench`) and the read path
-(:mod:`repro.obs.compare`).  The schema is deliberately flat: a list of
-``(case, method)`` results, each with per-phase statistics over repeats
-and summed counters.
+Every harness writes JSON documents (``BENCH_*.json``, ``*_report.json``,
+``tuned_config.json``) whose shape is versioned by a ``schema`` id and
+declared once, in :data:`SCHEMAS`: a table of per-schema rules that the
+single :func:`validate` walks, keyed on ``doc["schema"]``.  The bench
+schema is the one the CI perf gate (:mod:`repro.obs.compare`) exchanges
+between runs: a flat list of ``(case, method)`` results, each with
+per-phase statistics over repeats and summed counters.
 """
 
 from __future__ import annotations
@@ -20,24 +21,16 @@ __all__ = [
     "ADAPT_SCHEMA",
     "BENCH_SCHEMA",
     "CHAOS_SCHEMA",
+    "SCHEMAS",
     "SERVE_SCHEMA",
     "SHARD_SCHEMA",
     "TUNE_CONFIG_SCHEMA",
     "TUNE_SCHEMA",
     "SchemaError",
     "machine_fingerprint",
-    "new_adapt_doc",
-    "new_bench_doc",
-    "new_chaos_doc",
-    "new_serve_doc",
-    "new_shard_doc",
-    "new_tune_doc",
-    "validate_adapt_doc",
-    "validate_bench_doc",
-    "validate_chaos_doc",
-    "validate_serve_doc",
-    "validate_shard_doc",
-    "validate_tune_doc",
+    "new_doc",
+    "result_key",
+    "validate",
 ]
 
 #: Schema identifier; bump the trailing integer on breaking changes.
@@ -80,12 +73,9 @@ TUNE_CONFIG_SCHEMA = "repro.tune-config/1"
 #: modeled cost comparison delta / full rebuild / CSR reassembly.
 ADAPT_SCHEMA = "repro.adapt/1"
 
-_PHASE_STAT_KEYS = ("median", "min", "max", "repeats")
-_RESULT_REQUIRED = ("case", "method", "n_parts", "n_dofs", "phases", "counters")
-
 
 class SchemaError(ValueError):
-    """A bench document does not conform to :data:`BENCH_SCHEMA`."""
+    """A report document does not conform to its declared schema."""
 
 
 def machine_fingerprint() -> dict[str, Any]:
@@ -103,60 +93,19 @@ def machine_fingerprint() -> dict[str, Any]:
     }
 
 
-def new_bench_doc(
-    suite: str,
-    repeats: int,
-    config: dict[str, Any] | None = None,
+def new_doc(
+    schema: str, config: dict[str, Any] | None = None, **body: Any
 ) -> dict[str, Any]:
-    """An empty, schema-conforming bench document."""
+    """A report document: the shared header (schema id, creation stamp,
+    machine fingerprint, run config) plus the schema's ``body`` fields,
+    e.g. ``new_doc(SERVE_SCHEMA, cfg, scenarios=[])``."""
     return {
-        "schema": BENCH_SCHEMA,
-        "suite": suite,
-        "repeats": int(repeats),
+        "schema": schema,
         "created_unix": time.time(),
         "machine": machine_fingerprint(),
         "config": dict(config or {}),
-        "results": [],
+        **body,
     }
-
-
-def validate_bench_doc(doc: Any) -> dict[str, Any]:
-    """Validate a parsed bench document; returns it on success.
-
-    Raises :class:`SchemaError` with a pin-pointed message otherwise.
-    """
-    if not isinstance(doc, dict):
-        raise SchemaError(f"bench doc must be an object, got {type(doc).__name__}")
-    schema = doc.get("schema")
-    if schema != BENCH_SCHEMA:
-        raise SchemaError(
-            f"unsupported schema {schema!r} (expected {BENCH_SCHEMA!r})"
-        )
-    for key in ("suite", "repeats", "machine", "results"):
-        if key not in doc:
-            raise SchemaError(f"bench doc missing key {key!r}")
-    if not isinstance(doc["results"], list):
-        raise SchemaError("'results' must be a list")
-    for i, res in enumerate(doc["results"]):
-        where = f"results[{i}]"
-        if not isinstance(res, dict):
-            raise SchemaError(f"{where} must be an object")
-        for key in _RESULT_REQUIRED:
-            if key not in res:
-                raise SchemaError(f"{where} missing key {key!r}")
-        if not isinstance(res["phases"], dict):
-            raise SchemaError(f"{where}.phases must be an object")
-        for label, stats in res["phases"].items():
-            if not isinstance(stats, dict):
-                raise SchemaError(f"{where}.phases[{label!r}] must be an object")
-            for key in _PHASE_STAT_KEYS:
-                if key not in stats:
-                    raise SchemaError(
-                        f"{where}.phases[{label!r}] missing key {key!r}"
-                    )
-        if not isinstance(res["counters"], dict):
-            raise SchemaError(f"{where}.counters must be an object")
-    return doc
 
 
 def result_key(res: dict[str, Any]) -> str:
@@ -165,362 +114,190 @@ def result_key(res: dict[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------------
-# chaos report
+# the schema table
 # ----------------------------------------------------------------------------
+#
+# A rule is ``(path, kind, required_keys)`` with an optional fourth item
+# ``when(parent) -> bool`` that limits it to some nodes.  ``path`` is
+# dotted from the document root ("" is the root itself); a ``[]`` suffix
+# visits every element of a list, ``{}`` every value of an object.  Rules
+# run in order, so a container's rule precedes the rules inside it.
 
-_SCENARIO_REQUIRED = (
-    "scenario", "ok", "failures", "plan", "counters", "iterations",
-    "restarts", "rel_err",
+_KINDS = {
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a non-empty object": lambda v: isinstance(v, dict) and bool(v),
+    "a non-empty list": lambda v: isinstance(v, list) and bool(v),
+    "an object or null": lambda v: v is None or isinstance(v, dict),
+}
+
+_HEADER = ("machine", "config", "scenarios")
+_CACHE = ("hits", "misses", "evictions", "hit_rate")
+_LATENCY = ("p50", "p95", "p99", "mean", "min", "max", "n")
+_OBJECTIVES = ("throughput_rps", "p99_s", "mem_bytes")
+
+
+def _completed(scenario: dict[str, Any]) -> bool:
+    return bool(scenario["requests"]["completed"])
+
+
+#: latency rules shared by the serve and shard reports: the ``all``
+#: summary is required as soon as any request completed
+_LATENCY_RULES = (
+    ("scenarios[].latency_s", "an object", ()),
+    ("scenarios[].latency_s", "an object", ("all",), _completed),
+    ("scenarios[].latency_s{}", "an object", _LATENCY),
 )
 
+SCHEMAS: dict[str, tuple[tuple, ...]] = {
+    BENCH_SCHEMA: (
+        ("", "an object", ("suite", "repeats", "machine", "results")),
+        ("results", "a list", ()),
+        ("results[]", "an object",
+         ("case", "method", "n_parts", "n_dofs", "phases", "counters")),
+        ("results[].phases", "an object", ()),
+        ("results[].phases{}", "an object",
+         ("median", "min", "max", "repeats")),
+        ("results[].counters", "an object", ()),
+    ),
+    CHAOS_SCHEMA: (
+        ("", "an object", _HEADER),
+        ("scenarios", "a list", ()),
+        ("scenarios[]", "an object",
+         ("scenario", "ok", "failures", "plan", "counters", "iterations",
+          "restarts", "rel_err")),
+        ("scenarios[].counters", "an object", ()),
+        ("scenarios[].failures", "a list", ()),
+    ),
+    SERVE_SCHEMA: (
+        ("", "an object", _HEADER),
+        ("scenarios", "a list", ()),
+        ("scenarios[]", "an object",
+         ("scenario", "workload", "requests", "latency_s", "throughput_rps",
+          "makespan_s", "batch_histogram", "cache", "counters", "modes")),
+        ("scenarios[].modes", "an object", ()),
+        ("scenarios[].requests", "an object",
+         ("submitted", "completed", "rejected", "shed_deadline", "cancelled",
+          "failed", "wrong_answers")),
+        *_LATENCY_RULES,
+        ("scenarios[].batch_histogram", "an object", ()),
+        ("scenarios[].cache", "an object", _CACHE),
+        ("scenarios[].counters", "an object", ()),
+    ),
+    SHARD_SCHEMA: (
+        ("", "an object", _HEADER),
+        ("scenarios", "a list", ()),
+        ("scenarios[]", "an object",
+         ("scenario", "workload", "n_shards", "requests", "latency_s",
+          "throughput_rps", "makespan_s", "shards", "utilization",
+          "replication", "tenants", "batch_histogram", "modes", "counters")),
+        ("scenarios[].requests", "an object",
+         ("submitted", "completed", "rejected", "shed_tenant",
+          "shed_deadline", "spilled", "failed", "failovers",
+          "wrong_answers")),
+        *_LATENCY_RULES,
+        ("scenarios[].shards", "a non-empty object", ()),
+        ("scenarios[].shards{}", "an object",
+         ("utilization", "busy_s", "dispatches", "alive", "cache")),
+        ("scenarios[].shards{}.cache", "an object", _CACHE),
+        ("scenarios[].utilization", "an object",
+         ("mean", "min", "max", "peak_to_mean")),
+        ("scenarios[].replication", "an object",
+         ("keys_seen", "replicated_keys", "replication_factor")),
+        ("scenarios[].tenants", "an object", ()),
+        ("scenarios[].batch_histogram", "an object", ()),
+        ("scenarios[].modes", "an object", ()),
+        ("scenarios[].counters", "an object", ()),
+    ),
+    ADAPT_SCHEMA: (
+        ("", "an object", _HEADER),
+        ("scenarios", "a list", ()),
+        ("scenarios[]", "an object",
+         ("scenario", "method", "n_parts", "n_dofs", "steps", "deltas",
+          "verify", "costs", "cache", "steps_detail", "counters")),
+        ("scenarios[].deltas", "an object",
+         ("applied", "patches", "rebuilds", "touched_total", "max_fraction")),
+        ("scenarios[].verify", "an object",
+         ("checks", "bitwise", "wrong_answers")),
+        ("scenarios[].costs", "an object",
+         ("delta_s", "rebuild_s", "reassembly_s", "speedup_vs_rebuild")),
+        ("scenarios[].cache", "an object", _CACHE),
+        ("scenarios[].steps_detail", "a list", ()),
+        ("scenarios[].counters", "an object", ()),
+    ),
+    TUNE_SCHEMA: (
+        ("", "an object",
+         ("machine", "config", "space", "calibrated", "trajectory",
+          "evaluations", "cache_hits", "pareto", "default", "winner",
+          "machine_profile")),
+        ("space", "a non-empty list", ()),
+        ("space[]", "an object", ("name", "values", "default")),
+        ("trajectory", "a non-empty list", ()),
+        ("trajectory[]", "an object",
+         ("step", "strategy", "fingerprint", "config", "objectives", "score",
+          "cached")),
+        ("trajectory[].objectives", "an object", _OBJECTIVES),
+        ("pareto", "a non-empty list", ()),
+        ("pareto[]", "an object", ("fingerprint", "config", "objectives")),
+        ("pareto[].objectives", "an object", _OBJECTIVES),
+        ("default", "an object",
+         ("fingerprint", "config", "objectives", "metrics", "score")),
+        ("winner", "an object",
+         ("fingerprint", "config", "objectives", "metrics", "score")),
+        ("calibrated", "an object or null", ()),
+    ),
+    TUNE_CONFIG_SCHEMA: (
+        ("", "an object", ("config", "source")),
+        ("config", "an object", ()),
+    ),
+}
 
-def new_chaos_doc(config: dict[str, Any] | None = None) -> dict[str, Any]:
-    """An empty, schema-conforming chaos report."""
-    return {
-        "schema": CHAOS_SCHEMA,
-        "created_unix": time.time(),
-        "machine": machine_fingerprint(),
-        "config": dict(config or {}),
-        "scenarios": [],
-    }
+
+def _walk(node: Any, path: str, where: str = "", parent: Any = None):
+    """Yield ``(where, node, parent)`` for every node ``path`` selects."""
+    if not path:
+        yield where or "doc", node, parent
+        return
+    seg, _, rest = path.partition(".")
+    name = seg.rstrip("[]{}")
+    each = seg[len(name):]
+    here = f"{where}.{name}" if where else name
+    if not isinstance(node, dict) or name not in node:
+        raise SchemaError(f"{where or 'doc'} missing key {name!r}")
+    child = node[name]
+    if each == "[]":
+        if not isinstance(child, list):
+            raise SchemaError(f"{here} must be a list")
+        items = [(f"{here}[{i}]", v) for i, v in enumerate(child)]
+    elif each == "{}":
+        if not isinstance(child, dict):
+            raise SchemaError(f"{here} must be an object")
+        items = [(f"{here}[{k!r}]", v) for k, v in child.items()]
+    else:
+        items = [(here, child)]
+    for w, v in items:
+        yield from _walk(v, rest, w, node)
 
 
-def validate_chaos_doc(doc: Any) -> dict[str, Any]:
-    """Validate a parsed chaos report; returns it on success."""
+def validate(doc: Any, schema: str | None = None) -> dict[str, Any]:
+    """Validate a parsed report against the rules of its ``schema`` id
+    (which must equal ``schema`` when given); returns it on success.
+
+    Raises :class:`SchemaError` naming the offending path otherwise.
+    """
     if not isinstance(doc, dict):
-        raise SchemaError(f"chaos doc must be an object, got {type(doc).__name__}")
-    schema = doc.get("schema")
-    if schema != CHAOS_SCHEMA:
-        raise SchemaError(
-            f"unsupported schema {schema!r} (expected {CHAOS_SCHEMA!r})"
-        )
-    for key in ("machine", "config", "scenarios"):
-        if key not in doc:
-            raise SchemaError(f"chaos doc missing key {key!r}")
-    if not isinstance(doc["scenarios"], list):
-        raise SchemaError("'scenarios' must be a list")
-    for i, sc in enumerate(doc["scenarios"]):
-        where = f"scenarios[{i}]"
-        if not isinstance(sc, dict):
-            raise SchemaError(f"{where} must be an object")
-        for key in _SCENARIO_REQUIRED:
-            if key not in sc:
-                raise SchemaError(f"{where} missing key {key!r}")
-        if not isinstance(sc["counters"], dict):
-            raise SchemaError(f"{where}.counters must be an object")
-        if not isinstance(sc["failures"], list):
-            raise SchemaError(f"{where}.failures must be a list")
-    return doc
-
-
-# ----------------------------------------------------------------------------
-# serve report
-# ----------------------------------------------------------------------------
-
-_SERVE_SCENARIO_REQUIRED = (
-    "scenario", "workload", "requests", "latency_s", "throughput_rps",
-    "makespan_s", "batch_histogram", "cache", "counters", "modes",
-)
-_SERVE_REQUEST_KEYS = (
-    "submitted", "completed", "rejected", "shed_deadline", "cancelled",
-    "failed", "wrong_answers",
-)
-_SERVE_LATENCY_KEYS = ("p50", "p95", "p99", "mean", "min", "max", "n")
-
-
-def new_serve_doc(config: dict[str, Any] | None = None) -> dict[str, Any]:
-    """An empty, schema-conforming serve report."""
-    return {
-        "schema": SERVE_SCHEMA,
-        "created_unix": time.time(),
-        "machine": machine_fingerprint(),
-        "config": dict(config or {}),
-        "scenarios": [],
-    }
-
-
-def validate_serve_doc(doc: Any) -> dict[str, Any]:
-    """Validate a parsed serve report; returns it on success."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"serve doc must be an object, got {type(doc).__name__}")
-    schema = doc.get("schema")
-    if schema != SERVE_SCHEMA:
-        raise SchemaError(
-            f"unsupported schema {schema!r} (expected {SERVE_SCHEMA!r})"
-        )
-    for key in ("machine", "config", "scenarios"):
-        if key not in doc:
-            raise SchemaError(f"serve doc missing key {key!r}")
-    if not isinstance(doc["scenarios"], list):
-        raise SchemaError("'scenarios' must be a list")
-    for i, sc in enumerate(doc["scenarios"]):
-        where = f"scenarios[{i}]"
-        if not isinstance(sc, dict):
-            raise SchemaError(f"{where} must be an object")
-        for key in _SERVE_SCENARIO_REQUIRED:
-            if key not in sc:
-                raise SchemaError(f"{where} missing key {key!r}")
-        if schema == SERVE_SCHEMA and not isinstance(sc["modes"], dict):
-            raise SchemaError(f"{where}.modes must be an object")
-        for key in _SERVE_REQUEST_KEYS:
-            if key not in sc["requests"]:
-                raise SchemaError(f"{where}.requests missing key {key!r}")
-        if not isinstance(sc["latency_s"], dict):
-            raise SchemaError(f"{where}.latency_s must be an object")
-        if sc["requests"]["completed"] and "all" not in sc["latency_s"]:
-            raise SchemaError(f"{where}.latency_s missing the 'all' summary")
-        for kind, summ in sc["latency_s"].items():
-            for key in _SERVE_LATENCY_KEYS:
-                if key not in summ:
-                    raise SchemaError(
-                        f"{where}.latency_s[{kind!r}] missing key {key!r}"
-                    )
-        if not isinstance(sc["batch_histogram"], dict):
-            raise SchemaError(f"{where}.batch_histogram must be an object")
-        for key in ("hits", "misses", "evictions", "hit_rate"):
-            if key not in sc["cache"]:
-                raise SchemaError(f"{where}.cache missing key {key!r}")
-        if not isinstance(sc["counters"], dict):
-            raise SchemaError(f"{where}.counters must be an object")
-    return doc
-
-
-# ----------------------------------------------------------------------------
-# shard report
-# ----------------------------------------------------------------------------
-
-_SHARD_SCENARIO_REQUIRED = (
-    "scenario", "workload", "n_shards", "requests", "latency_s",
-    "throughput_rps", "makespan_s", "shards", "utilization", "replication",
-    "tenants", "batch_histogram", "modes", "counters",
-)
-_SHARD_REQUEST_KEYS = (
-    "submitted", "completed", "rejected", "shed_tenant", "shed_deadline",
-    "spilled", "failed", "failovers", "wrong_answers",
-)
-_SHARD_UTIL_KEYS = ("mean", "min", "max", "peak_to_mean")
-_SHARD_REPL_KEYS = ("keys_seen", "replicated_keys", "replication_factor")
-_SHARD_PER_SHARD_KEYS = ("utilization", "busy_s", "dispatches", "alive", "cache")
-
-
-def new_shard_doc(config: dict[str, Any] | None = None) -> dict[str, Any]:
-    """An empty, schema-conforming shard report."""
-    return {
-        "schema": SHARD_SCHEMA,
-        "created_unix": time.time(),
-        "machine": machine_fingerprint(),
-        "config": dict(config or {}),
-        "scenarios": [],
-    }
-
-
-def validate_shard_doc(doc: Any) -> dict[str, Any]:
-    """Validate a parsed shard report; returns it on success."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"shard doc must be an object, got {type(doc).__name__}")
-    schema = doc.get("schema")
-    if schema != SHARD_SCHEMA:
-        raise SchemaError(
-            f"unsupported schema {schema!r} (expected {SHARD_SCHEMA!r})"
-        )
-    for key in ("machine", "config", "scenarios"):
-        if key not in doc:
-            raise SchemaError(f"shard doc missing key {key!r}")
-    if not isinstance(doc["scenarios"], list):
-        raise SchemaError("'scenarios' must be a list")
-    for i, sc in enumerate(doc["scenarios"]):
-        where = f"scenarios[{i}]"
-        if not isinstance(sc, dict):
-            raise SchemaError(f"{where} must be an object")
-        for key in _SHARD_SCENARIO_REQUIRED:
-            if key not in sc:
-                raise SchemaError(f"{where} missing key {key!r}")
-        for key in _SHARD_REQUEST_KEYS:
-            if key not in sc["requests"]:
-                raise SchemaError(f"{where}.requests missing key {key!r}")
-        if not isinstance(sc["latency_s"], dict):
-            raise SchemaError(f"{where}.latency_s must be an object")
-        if sc["requests"]["completed"] and "all" not in sc["latency_s"]:
-            raise SchemaError(f"{where}.latency_s missing the 'all' summary")
-        for kind, summ in sc["latency_s"].items():
-            for key in _SERVE_LATENCY_KEYS:
-                if key not in summ:
-                    raise SchemaError(
-                        f"{where}.latency_s[{kind!r}] missing key {key!r}"
-                    )
-        if not isinstance(sc["shards"], dict) or not sc["shards"]:
-            raise SchemaError(f"{where}.shards must be a non-empty object")
-        for sid, ssum in sc["shards"].items():
-            for key in _SHARD_PER_SHARD_KEYS:
-                if key not in ssum:
-                    raise SchemaError(
-                        f"{where}.shards[{sid!r}] missing key {key!r}"
-                    )
-            for key in ("hits", "misses", "evictions", "hit_rate"):
-                if key not in ssum["cache"]:
-                    raise SchemaError(
-                        f"{where}.shards[{sid!r}].cache missing key {key!r}"
-                    )
-        for key in _SHARD_UTIL_KEYS:
-            if key not in sc["utilization"]:
-                raise SchemaError(f"{where}.utilization missing key {key!r}")
-        for key in _SHARD_REPL_KEYS:
-            if key not in sc["replication"]:
-                raise SchemaError(f"{where}.replication missing key {key!r}")
-        for label in ("tenants", "batch_histogram", "modes", "counters"):
-            if not isinstance(sc[label], dict):
-                raise SchemaError(f"{where}.{label} must be an object")
-    return doc
-
-
-# ----------------------------------------------------------------------------
-# adapt report
-# ----------------------------------------------------------------------------
-
-_ADAPT_SCENARIO_REQUIRED = (
-    "scenario", "method", "n_parts", "n_dofs", "steps", "deltas", "verify",
-    "costs", "cache", "steps_detail", "counters",
-)
-_ADAPT_DELTA_KEYS = (
-    "applied", "patches", "rebuilds", "touched_total", "max_fraction",
-)
-_ADAPT_VERIFY_KEYS = ("checks", "bitwise", "wrong_answers")
-_ADAPT_COST_KEYS = (
-    "delta_s", "rebuild_s", "reassembly_s", "speedup_vs_rebuild",
-)
-
-
-def new_adapt_doc(config: dict[str, Any] | None = None) -> dict[str, Any]:
-    """An empty, schema-conforming adapt report."""
-    return {
-        "schema": ADAPT_SCHEMA,
-        "created_unix": time.time(),
-        "machine": machine_fingerprint(),
-        "config": dict(config or {}),
-        "scenarios": [],
-    }
-
-
-def validate_adapt_doc(doc: Any) -> dict[str, Any]:
-    """Validate a parsed adapt report; returns it on success."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"adapt doc must be an object, got {type(doc).__name__}")
-    schema = doc.get("schema")
-    if schema != ADAPT_SCHEMA:
-        raise SchemaError(
-            f"unsupported schema {schema!r} (expected {ADAPT_SCHEMA!r})"
-        )
-    for key in ("machine", "config", "scenarios"):
-        if key not in doc:
-            raise SchemaError(f"adapt doc missing key {key!r}")
-    if not isinstance(doc["scenarios"], list):
-        raise SchemaError("'scenarios' must be a list")
-    for i, sc in enumerate(doc["scenarios"]):
-        where = f"scenarios[{i}]"
-        if not isinstance(sc, dict):
-            raise SchemaError(f"{where} must be an object")
-        for key in _ADAPT_SCENARIO_REQUIRED:
-            if key not in sc:
-                raise SchemaError(f"{where} missing key {key!r}")
-        for key in _ADAPT_DELTA_KEYS:
-            if key not in sc["deltas"]:
-                raise SchemaError(f"{where}.deltas missing key {key!r}")
-        for key in _ADAPT_VERIFY_KEYS:
-            if key not in sc["verify"]:
-                raise SchemaError(f"{where}.verify missing key {key!r}")
-        for key in _ADAPT_COST_KEYS:
-            if key not in sc["costs"]:
-                raise SchemaError(f"{where}.costs missing key {key!r}")
-        for key in ("hits", "misses", "evictions", "hit_rate"):
-            if key not in sc["cache"]:
-                raise SchemaError(f"{where}.cache missing key {key!r}")
-        if not isinstance(sc["steps_detail"], list):
-            raise SchemaError(f"{where}.steps_detail must be a list")
-        if not isinstance(sc["counters"], dict):
-            raise SchemaError(f"{where}.counters must be an object")
-    return doc
-
-
-# ----------------------------------------------------------------------------
-# tune report
-# ----------------------------------------------------------------------------
-
-_TUNE_REQUIRED = (
-    "config", "space", "calibrated", "trajectory", "evaluations",
-    "cache_hits", "pareto", "default", "winner", "machine_profile",
-)
-_TUNE_TRIAL_KEYS = (
-    "step", "strategy", "fingerprint", "config", "objectives", "score",
-    "cached",
-)
-_TUNE_OBJECTIVE_KEYS = ("throughput_rps", "p99_s", "mem_bytes")
-_TUNE_WINNER_KEYS = ("fingerprint", "config", "objectives", "metrics", "score")
-
-
-def new_tune_doc(config: dict[str, Any] | None = None) -> dict[str, Any]:
-    """An empty, schema-conforming tune report."""
-    return {
-        "schema": TUNE_SCHEMA,
-        "created_unix": time.time(),
-        "machine": machine_fingerprint(),
-        "config": dict(config or {}),
-        "space": [],
-        "calibrated": None,
-        "trajectory": [],
-        "evaluations": 0,
-        "cache_hits": 0,
-        "pareto": [],
-        "default": None,
-        "winner": None,
-        "machine_profile": "",
-    }
-
-
-def validate_tune_doc(doc: Any) -> dict[str, Any]:
-    """Validate a parsed tune report; returns it on success."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"tune doc must be an object, got {type(doc).__name__}")
-    schema = doc.get("schema")
-    if schema != TUNE_SCHEMA:
-        raise SchemaError(
-            f"unsupported schema {schema!r} (expected {TUNE_SCHEMA!r})"
-        )
-    for key in ("machine",) + _TUNE_REQUIRED:
-        if key not in doc:
-            raise SchemaError(f"tune doc missing key {key!r}")
-    if not isinstance(doc["space"], list) or not doc["space"]:
-        raise SchemaError("'space' must be a non-empty list of knob specs")
-    for i, knob in enumerate(doc["space"]):
-        for key in ("name", "values", "default"):
-            if key not in knob:
-                raise SchemaError(f"space[{i}] missing key {key!r}")
-    if not isinstance(doc["trajectory"], list) or not doc["trajectory"]:
-        raise SchemaError("'trajectory' must be a non-empty list of trials")
-    for i, tr in enumerate(doc["trajectory"]):
-        where = f"trajectory[{i}]"
-        for key in _TUNE_TRIAL_KEYS:
-            if key not in tr:
-                raise SchemaError(f"{where} missing key {key!r}")
-        for key in _TUNE_OBJECTIVE_KEYS:
-            if key not in tr["objectives"]:
-                raise SchemaError(f"{where}.objectives missing key {key!r}")
-    if not isinstance(doc["pareto"], list) or not doc["pareto"]:
-        raise SchemaError("'pareto' must be a non-empty list")
-    for i, pt in enumerate(doc["pareto"]):
-        where = f"pareto[{i}]"
-        for key in ("fingerprint", "config", "objectives"):
-            if key not in pt:
-                raise SchemaError(f"{where} missing key {key!r}")
-        for key in _TUNE_OBJECTIVE_KEYS:
-            if key not in pt["objectives"]:
-                raise SchemaError(f"{where}.objectives missing key {key!r}")
-    for label in ("default", "winner"):
-        entry = doc[label]
-        if not isinstance(entry, dict):
-            raise SchemaError(f"'{label}' must be an object")
-        for key in _TUNE_WINNER_KEYS:
-            if key not in entry:
-                raise SchemaError(f"'{label}' missing key {key!r}")
-    if doc["calibrated"] is not None and not isinstance(doc["calibrated"], dict):
-        raise SchemaError("'calibrated' must be an object or null")
+        raise SchemaError(f"report must be an object, got {type(doc).__name__}")
+    sid = doc.get("schema")
+    if sid not in SCHEMAS or (schema is not None and sid != schema):
+        expected = schema or ", ".join(sorted(SCHEMAS))
+        raise SchemaError(f"unsupported schema {sid!r} (expected {expected})")
+    for path, kind, keys, *when in SCHEMAS[sid]:
+        for where, node, parent in _walk(doc, path):
+            if when and not when[0](parent):
+                continue
+            if not _KINDS[kind](node):
+                raise SchemaError(f"{where} must be {kind}")
+            for key in keys:
+                if key not in node:
+                    raise SchemaError(f"{where} missing key {key!r}")
     return doc

@@ -21,9 +21,7 @@ baseline.
 
 from __future__ import annotations
 
-import argparse
 import heapq
-import json
 import pathlib
 import sys
 from dataclasses import dataclass
@@ -34,20 +32,19 @@ import numpy as np
 from repro.core.scatter import SCATTER_TAG
 from repro.faults.plan import Corrupt, Delay, Drop, FaultPlan, Straggler
 from repro.obs.instrumentation import Instrumentation, percentile_summary
-from repro.obs.schema import (
-    new_bench_doc,
-    new_serve_doc,
-    validate_bench_doc,
-    validate_serve_doc,
-)
+from repro.obs.report import emit, harness_parser, install_tuned, point_phase
+from repro.obs.schema import BENCH_SCHEMA, SERVE_SCHEMA, new_doc
 from repro.serve.cache import OperatorCache, ProblemKey
 from repro.serve.queue import ServeRequest
 from repro.serve.service import SolverService
 
 __all__ = [
     "Workload",
+    "bench_projection",
+    "gate",
     "run_workload",
     "run_serve_suite",
+    "verify_answers",
     "main",
 ]
 
@@ -218,7 +215,7 @@ def run_workload(
         makespan = max(makespan, now)
 
     if w.verify:
-        wrong, ref = _verify(w, completions)
+        wrong, ref = verify_answers(w.keys, completions)
         ctx0, _ = ref.get(w.keys[0])
         n_parts, n_dofs = ctx0.n_parts, ctx0.n_dofs
     else:
@@ -266,10 +263,19 @@ def run_workload(
     }
 
 
-def _verify(w: Workload, completions: list) -> tuple[int, OperatorCache]:
-    """Re-check every delivered answer on a fault-free reference cache."""
+def verify_answers(
+    keys, completions: list, bitwise: bool = False
+) -> tuple[int, OperatorCache]:
+    """Re-check every delivered answer on a fresh, fault-free single-node
+    reference cache over ``keys``; returns ``(wrong_answers, ref)``.
+
+    SPMV answers must match the reference within :data:`SPMV_REL_TOL`
+    and solves must meet ``10 * rtol`` on the true residual.  With
+    ``bitwise`` (oracle-mode runs, where every column is bitwise whatever
+    batch it rode in) both must equal the reference exactly.
+    """
     ref = OperatorCache(
-        capacity=max(len(w.keys), 1), obs=Instrumentation(rank=-1)
+        capacity=max(len(keys), 1), obs=Instrumentation(rank=-1)
     )
     wrong = 0
     for c in completions:
@@ -278,9 +284,17 @@ def _verify(w: Workload, completions: list) -> tuple[int, OperatorCache]:
         if c.request.kind == "spmv":
             y_ref, _ = ctx.apply_multi(x[:, None])
             y_ref = y_ref[:, 0]
+            if bitwise:
+                if not np.array_equal(c.value, y_ref):
+                    wrong += 1
+                continue
             scale = float(np.linalg.norm(y_ref)) or 1.0
             err = float(np.linalg.norm(c.value - y_ref))
             if not np.isfinite(err) or err > SPMV_REL_TOL * scale:
+                wrong += 1
+        elif bitwise:
+            out, _ = ctx.solve_multi(x[:, None], rtol=c.request.rtol)
+            if not np.array_equal(c.value, out["x"][:, 0]):
                 wrong += 1
         else:
             rel = float(ctx.residuals(x[:, None], c.value[:, None])[0])
@@ -371,7 +385,10 @@ def run_serve_suite(
     tuned=None,
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     """Run the standard scenarios; returns ``(serve_doc, bench_doc)``."""
-    doc = new_serve_doc(config={"seed": seed, "smoke": smoke, "k_min": k_min})
+    doc = new_doc(
+        SERVE_SCHEMA, {"seed": seed, "smoke": smoke, "k_min": k_min},
+        scenarios=[],
+    )
     for w in suite_workloads(seed, smoke=smoke):
         if verbose:
             print(f"[serve] scenario {w.name} ...", flush=True)
@@ -391,7 +408,7 @@ def run_serve_suite(
                 f"modes [{modes}], "
                 f"wrong {sc['requests']['wrong_answers']}"
             )
-    return validate_serve_doc(doc), validate_bench_doc(_bench_doc(doc))
+    return doc, bench_projection("serve", doc, _BENCH_COUNTERS)
 
 
 #: request counters exported to the bench doc — only ones that are robust
@@ -400,16 +417,27 @@ def run_serve_suite(
 _BENCH_COUNTERS = ("submitted", "completed", "failed", "wrong_answers")
 
 
-def _bench_doc(serve_doc: dict[str, Any]) -> dict[str, Any]:
-    """Project the serve report onto the standard bench schema so the
-    existing ``repro.obs.compare`` gate applies unchanged."""
-    bench = new_bench_doc(
-        suite="serve", repeats=1, config=dict(serve_doc["config"])
-    )
-    for sc in serve_doc["scenarios"]:
+def bench_projection(
+    suite: str,
+    doc: dict[str, Any],
+    counters: tuple[str, ...],
+    tail: bool = False,
+) -> dict[str, Any]:
+    """Project a serve or shard report onto the standard bench schema so
+    the ``repro.obs.compare`` gate applies unchanged.
+
+    Each scenario becomes result ``<suite>-<scenario>`` with one
+    ``<suite>.latency.<kind>`` phase per latency summary (median = p50,
+    plus p95/p99) and a ``<suite>.makespan`` phase; ``tail`` adds the p99
+    as its own ``….p99`` phase, which puts the tail directly under the
+    phase budget.  ``counters`` name the ``requests`` tallies exported as
+    ``<suite>.<name>``.
+    """
+    results = []
+    for sc in doc["scenarios"]:
         phases = {}
         for kind, summ in sc["latency_s"].items():
-            phases[f"serve.latency.{kind}"] = {
+            phases[f"{suite}.latency.{kind}"] = {
                 "median": summ["p50"],
                 "min": summ["min"],
                 "max": summ["max"],
@@ -417,50 +445,39 @@ def _bench_doc(serve_doc: dict[str, Any]) -> dict[str, Any]:
                 "p95": summ["p95"],
                 "p99": summ["p99"],
             }
-        phases["serve.makespan"] = {
-            "median": sc["makespan_s"],
-            "min": sc["makespan_s"],
-            "max": sc["makespan_s"],
-            "repeats": 1,
-        }
-        counters = {
-            f"serve.{name}": sc["requests"][name] for name in _BENCH_COUNTERS
-        }
-        bench["results"].append({
-            "case": f"serve-{sc['scenario']}",
-            "method": "serve",
+            if tail:
+                phases[f"{suite}.latency.{kind}.p99"] = point_phase(
+                    summ["p99"], summ["n"]
+                )
+        phases[f"{suite}.makespan"] = point_phase(sc["makespan_s"])
+        results.append({
+            "case": f"{suite}-{sc['scenario']}",
+            "method": suite,
             "n_parts": sc["n_parts"],
             "n_dofs": sc["n_dofs"],
             "phases": phases,
-            "counters": counters,
+            "counters": {
+                f"{suite}.{name}": sc["requests"][name] for name in counters
+            },
         })
-    return bench
+    return new_doc(
+        BENCH_SCHEMA, doc["config"], suite=suite, repeats=1, results=results
+    )
+
+
+def gate(doc: dict[str, Any]) -> list[str]:
+    """Serve gate: no scenario delivered a wrong answer."""
+    wrong = sum(sc["requests"]["wrong_answers"] for sc in doc["scenarios"])
+    return [f"{wrong} wrong answer(s)"] if wrong else []
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness serve",
-        description="Closed-loop load harness for the batched solver "
-        "service; emits SERVE_report.json (+ BENCH_serve.json for the "
-        "compare gate)",
-    )
-    ap.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized scenarios (fewer requests; same structure)",
-    )
-    ap.add_argument("--seed", type=int, default=1234)
-    ap.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path("SERVE_report.json"),
-        help="serve report path (default: ./SERVE_report.json)",
-    )
-    ap.add_argument(
-        "--bench-out",
-        type=pathlib.Path,
-        default=pathlib.Path("BENCH_serve.json"),
-        help="bench-schema projection path (default: ./BENCH_serve.json)",
+    ap = harness_parser(
+        "serve",
+        "Closed-loop load harness for the batched solver service; emits "
+        "SERVE_report.json (+ BENCH_serve.json for the compare gate)",
+        out="SERVE_report.json",
+        bench_out="BENCH_serve.json",
     )
     ap.add_argument(
         "--k-min",
@@ -469,64 +486,25 @@ def main(argv: list[str] | None = None) -> int:
         help="auto-mode GEMM crossover (default: kernels DEFAULT_K_MIN)",
     )
     ap.add_argument(
-        "--k-min-from",
-        type=pathlib.Path,
-        default=None,
-        metavar="BENCH_KERNELS_JSON",
-        help="load the calibrated crossover from a kernels-bench "
-        "document's config.gemm_k_min_crossover (--k-min wins if both "
-        "are given; missing file/key falls back to the default)",
-    )
-    ap.add_argument(
         "--tuned-from",
         type=pathlib.Path,
         default=None,
         metavar="TUNED_CONFIG_JSON",
         help="load an autotuner artifact (tuned_config.json, "
-        "TUNE_report.json or a legacy bench doc) and apply its service "
-        "knobs + SELL (C, sigma) defaults (--k-min/--k-min-from win for "
-        "the GEMM crossover)",
+        "TUNE_report.json or a kernels bench doc) and apply its service "
+        "knobs + SELL (C, sigma) defaults (--k-min wins for the GEMM "
+        "crossover)",
     )
-    ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
 
-    from repro.tune.calibration import load_tuned_config
-
-    tuned = load_tuned_config(args.tuned_from)
-    if tuned is not None:
-        if tuned.get("sell_c") is not None:
-            from repro.core.sellcs import configure_sell_defaults
-
-            c = int(tuned.get("sell_c"))
-            sigma = int(tuned.get("sell_sigma_factor", 8)) * c
-            configure_sell_defaults(c, sigma)
-            if not args.quiet:
-                print(f"[serve] tuned SELL defaults C={c} sigma={sigma}")
-        if not args.quiet:
-            print(f"[serve] tuned config from {args.tuned_from}")
-
-    k_min = args.k_min
-    if k_min is None and args.k_min_from is not None:
-        calibrated = load_tuned_config(args.k_min_from)
-        if calibrated is not None and calibrated.get("gemm_k_min") is not None:
-            k_min = int(calibrated.get("gemm_k_min"))
-        if not args.quiet and k_min is not None:
-            print(f"[serve] calibrated k_min={k_min} from {args.k_min_from}")
-
+    tuned = install_tuned(args.tuned_from, "serve", args.quiet)
     doc, bench = run_serve_suite(
-        seed=args.seed, smoke=args.smoke, verbose=not args.quiet, k_min=k_min,
-        tuned=tuned,
+        seed=args.seed, smoke=args.smoke, verbose=not args.quiet,
+        k_min=args.k_min, tuned=tuned,
     )
-    for path, payload in ((args.out, doc), (args.bench_out, bench)):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    wrong = sum(sc["requests"]["wrong_answers"] for sc in doc["scenarios"])
-    if not args.quiet:
-        print(f"\n[serve] wrote {args.out} and {args.bench_out}")
-    if wrong:
-        print(f"[serve] FAIL: {wrong} wrong answer(s)", file=sys.stderr)
-        return 1
-    return 0
+    return emit(
+        "serve", [(args.out, doc), (args.bench_out, bench)], gate, args.quiet
+    )
 
 
 if __name__ == "__main__":

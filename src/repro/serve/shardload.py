@@ -25,9 +25,7 @@ and the per-shard utilization peak-to-mean skew.
 
 from __future__ import annotations
 
-import argparse
 import heapq
-import json
 import pathlib
 import sys
 from dataclasses import dataclass
@@ -37,15 +35,11 @@ import numpy as np
 
 from repro.faults.shard import ShardFaultPlan, ShardKill
 from repro.obs.instrumentation import Instrumentation, percentile_summary
-from repro.obs.schema import (
-    new_bench_doc,
-    new_shard_doc,
-    validate_bench_doc,
-    validate_shard_doc,
-)
+from repro.obs.report import emit, harness_parser, install_tuned
+from repro.obs.schema import SHARD_SCHEMA, new_doc
 from repro.serve.batcher import BatchPolicy, DeadlineBatcher
 from repro.serve.cache import OperatorCache, ProblemKey
-from repro.serve.loadgen import SPMV_REL_TOL
+from repro.serve.loadgen import bench_projection, verify_answers
 from repro.serve.queue import ServeRequest
 from repro.serve.service import SolverService
 from repro.serve.shard import ShardCluster, ShardRouter
@@ -54,6 +48,7 @@ from repro.simmpi.cluster import VirtualCluster
 __all__ = [
     "ShardWorkload",
     "build_cluster",
+    "gate",
     "run_shard_workload",
     "run_shard_suite",
     "shard_suite_workloads",
@@ -241,7 +236,12 @@ def run_shard_workload(
         now = min(future)
     cluster.advance(makespan)  # late-scheduled fault events still apply
 
-    wrong = _verify(w, completions)
+    # oracle-mode scenarios are bitwise per column regardless of the
+    # batch a request rode in, so sharding must be invisible down to the
+    # last bit against the single-node reference — kill or no kill
+    wrong, _ = verify_answers(
+        w.keys, completions, bitwise=w.verify == "bitwise"
+    )
     obs.incr("shard.wrong_answers", wrong)  # materialize even when 0
 
     counters = cluster.request_counters()
@@ -308,41 +308,6 @@ def run_shard_workload(
         "modes": dict(sorted(modes.items())),
         "counters": counters,
     }
-
-
-def _verify(w: ShardWorkload, completions: list) -> int:
-    """Re-check every delivered answer on a fault-free single-node
-    reference cache; returns the wrong-answer count."""
-    ref = OperatorCache(
-        capacity=max(len(w.keys), 1), obs=Instrumentation(rank=-1)
-    )
-    wrong = 0
-    for c in completions:
-        ctx, _ = ref.get(c.request.key)
-        x = SolverService.input_vector(ctx, c.request.seed)
-        if c.request.kind == "spmv":
-            y_ref, _ = ctx.apply_multi(x[:, None])
-            y_ref = y_ref[:, 0]
-            if w.verify == "bitwise":
-                if not np.array_equal(c.value, y_ref):
-                    wrong += 1
-                continue
-            scale = float(np.linalg.norm(y_ref)) or 1.0
-            err = float(np.linalg.norm(c.value - y_ref))
-            if not np.isfinite(err) or err > SPMV_REL_TOL * scale:
-                wrong += 1
-        elif w.verify == "bitwise":
-            # oracle-mode solves are bitwise per column regardless of the
-            # batch they rode in, so the sharded answer must equal the
-            # single-node solve exactly — kill or no kill
-            out, _ = ctx.solve_multi(x[:, None], rtol=c.request.rtol)
-            if not np.array_equal(c.value, out["x"][:, 0]):
-                wrong += 1
-        else:
-            rel = float(ctx.residuals(x[:, None], c.value[:, None])[0])
-            if not np.isfinite(rel) or rel > max(10 * c.request.rtol, 1e-8):
-                wrong += 1
-    return wrong
 
 
 # ----------------------------------------------------------------------------
@@ -452,7 +417,10 @@ def run_shard_suite(
     k_min: int | None = None,
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     """Run the standard scenarios; returns ``(shard_doc, bench_doc)``."""
-    doc = new_shard_doc(config={"seed": seed, "smoke": smoke, "k_min": k_min})
+    doc = new_doc(
+        SHARD_SCHEMA, {"seed": seed, "smoke": smoke, "k_min": k_min},
+        scenarios=[],
+    )
     for w in shard_suite_workloads(seed, smoke=smoke):
         if verbose:
             print(f"[shard] scenario {w.name} ...", flush=True)
@@ -471,7 +439,13 @@ def run_shard_suite(
                 f"failovers {sc['requests']['failovers']}, "
                 f"wrong {sc['requests']['wrong_answers']}"
             )
-    return validate_shard_doc(doc), validate_bench_doc(_bench_doc(doc))
+    bench = bench_projection("shard", doc, _BENCH_COUNTERS, tail=True)
+    # the utilization skew rides as an integer-percent counter
+    for sc, res in zip(doc["scenarios"], bench["results"]):
+        res["counters"]["shard.util_peak_to_mean_pct"] = int(
+            round(100 * sc["utilization"]["peak_to_mean"])
+        )
+    return doc, bench
 
 
 #: request counters exported to the bench doc — the deterministic ones
@@ -480,80 +454,44 @@ def run_shard_suite(
 _BENCH_COUNTERS = ("submitted", "completed", "failed", "wrong_answers",
                    "failovers")
 
+#: the standard suite spreads every scenario over at least this many shards
+MIN_SHARDS = 4
 
-def _bench_doc(shard_doc: dict[str, Any]) -> dict[str, Any]:
-    """Project the shard report onto the standard bench schema so the
-    existing ``repro.obs.compare`` gate applies unchanged.  The p99 tail
-    is exported as its own phase (``…latency.all.p99``) whose *median* is
-    the p99 value, which puts the tail directly under the phase budget;
-    the utilization skew rides as an integer-percent counter."""
-    bench = new_bench_doc(
-        suite="shard", repeats=1, config=dict(shard_doc["config"])
-    )
-    for sc in shard_doc["scenarios"]:
-        phases = {}
-        for kind, summ in sc["latency_s"].items():
-            phases[f"shard.latency.{kind}"] = {
-                "median": summ["p50"],
-                "min": summ["min"],
-                "max": summ["max"],
-                "repeats": summ["n"],
-                "p95": summ["p95"],
-                "p99": summ["p99"],
-            }
-            phases[f"shard.latency.{kind}.p99"] = {
-                "median": summ["p99"],
-                "min": summ["p99"],
-                "max": summ["p99"],
-                "repeats": summ["n"],
-            }
-        phases["shard.makespan"] = {
-            "median": sc["makespan_s"],
-            "min": sc["makespan_s"],
-            "max": sc["makespan_s"],
-            "repeats": 1,
-        }
-        counters = {
-            f"shard.{name}": sc["requests"][name] for name in _BENCH_COUNTERS
-        }
-        counters["shard.util_peak_to_mean_pct"] = int(
-            round(100 * sc["utilization"]["peak_to_mean"])
-        )
-        bench["results"].append({
-            "case": f"shard-{sc['scenario']}",
-            "method": "shard",
-            "n_parts": sc["n_parts"],
-            "n_dofs": sc["n_dofs"],
-            "phases": phases,
-            "counters": counters,
-        })
-    return bench
+
+def gate(doc: dict[str, Any], max_skew: float | None = None) -> list[str]:
+    """Shard gate: no wrong answer, a kill scenario that exercised
+    failover, every scenario on >= :data:`MIN_SHARDS` shards and, with
+    ``max_skew``, per-shard utilization peak-to-mean within the bound."""
+    scenarios = doc["scenarios"]
+    failures = []
+    wrong = sum(sc["requests"]["wrong_answers"] for sc in scenarios)
+    if wrong:
+        failures.append(f"{wrong} wrong answer(s)")
+    kills = [sc for sc in scenarios if sc["counters"].get("shard.kills")]
+    if not kills or not all(sc["requests"]["failovers"] > 0 for sc in kills):
+        failures.append("kill scenario exercised no failover")
+    for sc in scenarios:
+        if sc["n_shards"] < MIN_SHARDS:
+            failures.append(
+                f"{sc['scenario']} runs on {sc['n_shards']} shards "
+                f"(< {MIN_SHARDS})"
+            )
+        skew = sc["utilization"]["peak_to_mean"]
+        if max_skew is not None and skew > max_skew:
+            failures.append(
+                f"{sc['scenario']} utilization peak-to-mean {skew:.2f} "
+                f"> bound {max_skew:.2f}"
+            )
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness shard",
-        description="Zipf multi-tenant load harness for the sharded "
-        "solver tier; emits SHARD_report.json (+ BENCH_shard.json for "
-        "the compare gate)",
-    )
-    ap.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized scenarios (fewer requests; same structure)",
-    )
-    ap.add_argument("--seed", type=int, default=1234)
-    ap.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path("SHARD_report.json"),
-        help="shard report path (default: ./SHARD_report.json)",
-    )
-    ap.add_argument(
-        "--bench-out",
-        type=pathlib.Path,
-        default=pathlib.Path("BENCH_shard.json"),
-        help="bench-schema projection path (default: ./BENCH_shard.json)",
+    ap = harness_parser(
+        "shard",
+        "Zipf multi-tenant load harness for the sharded solver tier; "
+        "emits SHARD_report.json (+ BENCH_shard.json for the compare gate)",
+        out="SHARD_report.json",
+        bench_out="BENCH_shard.json",
     )
     ap.add_argument(
         "--max-skew",
@@ -570,76 +508,30 @@ def main(argv: list[str] | None = None) -> int:
         help="auto-mode GEMM crossover (default: kernels DEFAULT_K_MIN)",
     )
     ap.add_argument(
-        "--k-min-from",
-        type=pathlib.Path,
-        default=None,
-        metavar="BENCH_KERNELS_JSON",
-        help="load the calibrated crossover from a kernels-bench "
-        "document's config.gemm_k_min_crossover (--k-min wins if both "
-        "are given; missing file/key falls back to the default)",
-    )
-    ap.add_argument(
         "--tuned-from",
         type=pathlib.Path,
         default=None,
         metavar="TUNED_CONFIG_JSON",
         help="load an autotuner artifact (tuned_config.json, "
-        "TUNE_report.json or a legacy bench doc) and apply its GEMM "
-        "crossover + SELL (C, sigma) defaults (--k-min/--k-min-from win)",
+        "TUNE_report.json or a kernels bench doc) and apply its GEMM "
+        "crossover + SELL (C, sigma) defaults (--k-min wins)",
     )
-    ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
 
-    from repro.tune.calibration import load_tuned_config
-
-    tuned = load_tuned_config(args.tuned_from)
-    if tuned is not None:
-        if tuned.get("sell_c") is not None:
-            from repro.core.sellcs import configure_sell_defaults
-
-            c = int(tuned.get("sell_c"))
-            sigma = int(tuned.get("sell_sigma_factor", 8)) * c
-            configure_sell_defaults(c, sigma)
-            if not args.quiet:
-                print(f"[shard] tuned SELL defaults C={c} sigma={sigma}")
-
+    tuned = install_tuned(args.tuned_from, "shard", args.quiet)
     k_min = args.k_min
-    if k_min is None and args.k_min_from is not None:
-        calibrated = load_tuned_config(args.k_min_from)
-        if calibrated is not None and calibrated.get("gemm_k_min") is not None:
-            k_min = int(calibrated.get("gemm_k_min"))
-        if not args.quiet and k_min is not None:
-            print(f"[shard] calibrated k_min={k_min} from {args.k_min_from}")
     if k_min is None and tuned is not None and tuned.get("gemm_k_min") is not None:
         k_min = int(tuned.get("gemm_k_min"))
-        if not args.quiet:
-            print(f"[shard] tuned k_min={k_min} from {args.tuned_from}")
 
     doc, bench = run_shard_suite(
         seed=args.seed, smoke=args.smoke, verbose=not args.quiet, k_min=k_min
     )
-    for path, payload in ((args.out, doc), (args.bench_out, bench)):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if not args.quiet:
-        print(f"\n[shard] wrote {args.out} and {args.bench_out}")
-
-    status = 0
-    wrong = sum(sc["requests"]["wrong_answers"] for sc in doc["scenarios"])
-    if wrong:
-        print(f"[shard] FAIL: {wrong} wrong answer(s)", file=sys.stderr)
-        status = 1
-    if args.max_skew is not None:
-        for sc in doc["scenarios"]:
-            skew = sc["utilization"]["peak_to_mean"]
-            if skew > args.max_skew:
-                print(
-                    f"[shard] FAIL: {sc['scenario']} utilization "
-                    f"peak-to-mean {skew:.2f} > bound {args.max_skew:.2f}",
-                    file=sys.stderr,
-                )
-                status = 1
-    return status
+    return emit(
+        "shard",
+        [(args.out, doc), (args.bench_out, bench)],
+        lambda d: gate(d, args.max_skew),
+        args.quiet,
+    )
 
 
 if __name__ == "__main__":

@@ -153,12 +153,6 @@ class Communicator:
         """True when this run injects faults (enables detection hooks)."""
         return self._faults is not None
 
-    @property
-    def trace(self) -> list[tuple[str, float, float]]:
-        """Traced ``(label, start, end)`` virtual-time intervals (legacy
-        view over ``obs.events``)."""
-        return [(e.label, e.t0, e.t1) for e in self.obs.events]
-
     def _trace(
         self, label: str, t0: float, t1: float, kind: str = "compute", **meta
     ) -> None:

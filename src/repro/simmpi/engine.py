@@ -87,7 +87,6 @@ class Simulator:
         self.trace_enabled = trace
         #: bound per-run fault injector (None = fault-free)
         self.faults = faults.bind(n_ranks) if faults is not None else None
-        self.compute_lock = threading.RLock()
         self.abort_event = threading.Event()
         self._mailboxes = [_Mailbox(self.abort_event) for _ in range(n_ranks)]
         self._rendezvous = _Rendezvous(n_ranks, self.abort_event)

@@ -48,18 +48,16 @@ def render_gantt(
     end time).
     """
     if t_max is None:
-        t_max = max(
-            (t1 for c in comms for _, _, t1 in c.trace), default=0.0
-        )
+        t_max = max((e.t1 for c in comms for e in c.obs.events), default=0.0)
     if t_max <= 0:
         return "(no traced intervals — run with Simulator(trace=True))"
     lanes = []
     for c in comms:
         row = [" "] * width
-        for label, t0, t1 in c.trace:
-            a = int(min(t0, t_max) / t_max * (width - 1))
-            b = max(int(min(t1, t_max) / t_max * (width - 1)), a + 1)
-            g = _glyph(label)
+        for e in c.obs.events:
+            a = int(min(e.t0, t_max) / t_max * (width - 1))
+            b = max(int(min(e.t1, t_max) / t_max * (width - 1)), a + 1)
+            g = _glyph(e.label)
             for i in range(a, min(b, width)):
                 row[i] = g
         lanes.append(f"rank {c.rank:3d} |" + "".join(row) + "|")

@@ -23,34 +23,31 @@ Artifacts:
 
 from __future__ import annotations
 
-import argparse
-import json
 import pathlib
 import sys
 
-from repro.obs.schema import (
-    new_bench_doc,
-    new_tune_doc,
-    validate_bench_doc,
-    validate_tune_doc,
+from repro.obs.report import emit, harness_parser, point_phase
+from repro.obs.schema import BENCH_SCHEMA, TUNE_SCHEMA, new_doc
+from repro.tune.calibration import (
+    TunedConfig,
+    fit_machine_constants,
+    load_tuned_config,
 )
-from repro.tune.calibration import TunedConfig, fit_machine_constants
-from repro.tune.evaluate import GATED_METRICS, EvalResult, Evaluator
+from repro.tune.evaluate import GATED_METRICS, Evaluator
 from repro.tune.pareto import pareto_front
 from repro.tune.space import default_space
 from repro.tune.strategies import run_search
 
-__all__ = ["main", "run_tune"]
+__all__ = ["gate", "main", "run_tune"]
 
 _DEFAULT_KERNELS = pathlib.Path("benchmarks/baseline/BENCH_kernels.json")
 _DEFAULT_SELLCS = pathlib.Path("benchmarks/baseline/BENCH_sellcs.json")
 
 
-def _qualifies(cand: EvalResult, default: EvalResult) -> bool:
-    """Winner gate: no gated metric regresses the hand-picked default."""
-    return all(
-        cand.metrics[k] <= default.metrics[k] for k in GATED_METRICS
-    )
+def _worse(metrics: dict, default: dict) -> list[str]:
+    """Winner gate: the gated metrics on which ``metrics`` regresses the
+    hand-picked ``default`` (a qualifying winner has none)."""
+    return [k for k in GATED_METRICS if metrics[k] > default[k]]
 
 
 def run_tune(
@@ -61,7 +58,7 @@ def run_tune(
     machine_profile: str = "frontera-rtx5000",
     verbose: bool = True,
 ) -> dict:
-    """Run the full tuning pipeline; returns a validated TUNE doc."""
+    """Run the full tuning pipeline; returns the TUNE report document."""
     calibrated = fit_machine_constants(kernels_baseline, sellcs_baseline)
     if verbose and calibrated is not None:
         print(
@@ -85,7 +82,9 @@ def run_tune(
         )
 
     front = pareto_front([default, *results])
-    qualified = [r for r in [default, *results] if _qualifies(r, default)]
+    qualified = [
+        r for r in [default, *results] if not _worse(r.metrics, default.metrics)
+    ]
     winner = min(qualified, key=lambda r: (r.score, r.fingerprint))
     if verbose:
         print(
@@ -101,47 +100,46 @@ def run_tune(
                 f"{winner.config[name]}"
             )
 
-    doc = new_tune_doc(config={
-        "seed": seed,
-        "budget_per_strategy": budget,
-        "kernels_baseline": str(kernels_baseline) if kernels_baseline else None,
-        "sellcs_baseline": str(sellcs_baseline) if sellcs_baseline else None,
-    })
-    doc["machine_profile"] = machine_profile
-    doc["space"] = space.describe()
-    doc["calibrated"] = calibrated
-    doc["trajectory"] = trajectory
-    doc["evaluations"] = evaluator.evaluations
-    doc["cache_hits"] = evaluator.cache_hits
-    doc["pareto"] = [
+    return new_doc(
+        TUNE_SCHEMA,
         {
-            "fingerprint": r.fingerprint,
-            "config": dict(r.config),
-            "objectives": r.objectives.to_dict(),
-        }
-        for r in front
-    ]
-    doc["default"] = default.as_winner()
-    doc["winner"] = winner.as_winner()
-    return validate_tune_doc(doc)
+            "seed": seed,
+            "budget_per_strategy": budget,
+            "kernels_baseline": (
+                str(kernels_baseline) if kernels_baseline else None
+            ),
+            "sellcs_baseline": str(sellcs_baseline) if sellcs_baseline else None,
+        },
+        machine_profile=machine_profile,
+        space=space.describe(),
+        calibrated=calibrated,
+        trajectory=trajectory,
+        evaluations=evaluator.evaluations,
+        cache_hits=evaluator.cache_hits,
+        pareto=[
+            {
+                "fingerprint": r.fingerprint,
+                "config": dict(r.config),
+                "objectives": r.objectives.to_dict(),
+            }
+            for r in front
+        ],
+        default=default.as_winner(),
+        winner=winner.as_winner(),
+    )
 
 
 def _bench_doc(doc: dict) -> dict:
     """Project default-vs-winner onto the bench schema for the compare
     gate.  All phases are virtual-time/model numbers — machine-
     independent, so the checked-in baseline holds everywhere."""
-    bench = new_bench_doc(suite="tune", repeats=1, config=dict(doc["config"]))
-    winner_m = doc["winner"]["metrics"]
-    default_m = doc["default"]["metrics"]
-    regressions = sum(
-        1 for k in GATED_METRICS if winner_m[k] > default_m[k]
-    )
+    regressions = len(_worse(doc["winner"]["metrics"], doc["default"]["metrics"]))
+    results = []
     for case, entry in (("tune-default", doc["default"]),
                         ("tune-winner", doc["winner"])):
         m = entry["metrics"]
         phases = {
-            name: {"median": m[key], "min": m[key], "max": m[key],
-                   "repeats": 1}
+            name: point_phase(m[key])
             for name, key in (
                 ("tune.serve.time_per_req", "serve.time_per_req_s"),
                 ("tune.serve.p99", "serve.p99_s"),
@@ -154,7 +152,7 @@ def _bench_doc(doc: dict) -> dict:
             "tune.evaluations": doc["evaluations"],
             "tune.winner_worse_than_default": regressions,
         }
-        bench["results"].append({
+        results.append({
             "case": case,
             "method": "tune",
             "n_parts": 1,
@@ -162,37 +160,46 @@ def _bench_doc(doc: dict) -> dict:
             "phases": phases,
             "counters": counters,
         })
-    return validate_bench_doc(bench)
+    return new_doc(
+        BENCH_SCHEMA, doc["config"], suite="tune", repeats=1, results=results
+    )
+
+
+def gate(doc: dict, tuned_path=None) -> list[str]:
+    """Tune gate: the winner is never worse than the default on a gated
+    metric, and the written ``tuned_path`` loads back to the winner's
+    config."""
+    failures = []
+    worse = _worse(doc["winner"]["metrics"], doc["default"]["metrics"])
+    if worse:
+        failures.append(f"winner regresses the default on {worse}")
+    if tuned_path is not None:
+        tuned = load_tuned_config(tuned_path)
+        if tuned is None or tuned.values != doc["winner"]["config"]:
+            failures.append(
+                f"{tuned_path} does not load back to the winner's config"
+            )
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness tune",
-        description="Autotuner: seeded search over the system knobs "
-        "against virtual-time harness probes and the perfmodel; emits "
+    ap = harness_parser(
+        "tune",
+        "Autotuner: seeded search over the system knobs against "
+        "virtual-time harness probes and the perfmodel; emits "
         "TUNE_report.json, tuned_config.json and BENCH_tune.json",
+        out="TUNE_report.json",
+        bench_out="BENCH_tune.json",
+        smoke="CI-sized budget (same pipeline, fewer trials)",
     )
-    ap.add_argument("--seed", type=int, default=1234)
     ap.add_argument(
         "--budget", type=int, default=None,
         help="trials per strategy (default: 20, or 12 with --smoke)",
     )
     ap.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized budget (same pipeline, fewer trials)",
-    )
-    ap.add_argument(
-        "--out", type=pathlib.Path, default=pathlib.Path("TUNE_report.json"),
-    )
-    ap.add_argument(
         "--tuned-out", type=pathlib.Path,
         default=pathlib.Path("tuned_config.json"),
         help="winning-knobs artifact for SolverService/--tuned-from",
-    )
-    ap.add_argument(
-        "--bench-out", type=pathlib.Path,
-        default=pathlib.Path("BENCH_tune.json"),
-        help="bench-schema projection for the compare gate",
     )
     ap.add_argument(
         "--kernels-baseline", type=pathlib.Path, default=_DEFAULT_KERNELS,
@@ -203,7 +210,6 @@ def main(argv: list[str] | None = None) -> int:
         help="measured sellcs report to calibrate from (missing: skip)",
     )
     ap.add_argument("--machine-profile", default="frontera-rtx5000")
-    ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
 
     budget = args.budget if args.budget is not None else (12 if args.smoke else 20)
@@ -216,19 +222,16 @@ def main(argv: list[str] | None = None) -> int:
         verbose=not args.quiet,
     )
     tuned = TunedConfig(doc["winner"]["config"], source=str(args.out))
-    bench = _bench_doc(doc)
-    for path, payload in (
-        (args.out, doc),
-        (args.tuned_out, tuned.to_doc()),
-        (args.bench_out, bench),
-    ):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if not args.quiet:
-        print(
-            f"[tune] wrote {args.out}, {args.tuned_out} and {args.bench_out}"
-        )
-    return 0
+    return emit(
+        "tune",
+        [
+            (args.out, doc),
+            (args.tuned_out, tuned.to_doc()),
+            (args.bench_out, _bench_doc(doc)),
+        ],
+        lambda d: gate(d, args.tuned_out),
+        args.quiet,
+    )
 
 
 if __name__ == "__main__":

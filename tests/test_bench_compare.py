@@ -7,10 +7,10 @@ import json
 
 import pytest
 
-from repro.obs import BENCH_SCHEMA, SchemaError, validate_bench_doc
+from repro.obs import BENCH_SCHEMA, SchemaError, validate
 from repro.obs.bench import SmokeCase, run_smoke_suite
 from repro.obs.compare import compare_docs, main as compare_main
-from repro.obs.schema import new_bench_doc, result_key
+from repro.obs.schema import new_doc, result_key
 
 
 def _tiny_case():
@@ -36,32 +36,33 @@ def tiny_doc():
 # ----------------------------------------------------------------------------
 
 def test_new_doc_validates_and_round_trips():
-    doc = new_bench_doc(suite="smoke", repeats=3, config={"modeled": True})
+    doc = new_doc(BENCH_SCHEMA, {"modeled": True}, suite="smoke", repeats=3,
+                  results=[])
     assert doc["schema"] == BENCH_SCHEMA
     round_tripped = json.loads(json.dumps(doc))
-    assert validate_bench_doc(round_tripped) == round_tripped
+    assert validate(round_tripped) == round_tripped
 
 
 def test_validate_rejects_malformed_docs():
     with pytest.raises(SchemaError):
-        validate_bench_doc([])
+        validate([])
     with pytest.raises(SchemaError):
-        validate_bench_doc({"schema": "repro.bench/999"})
-    doc = new_bench_doc(suite="smoke", repeats=1)
+        validate({"schema": "repro.bench/999"})
+    doc = new_doc(BENCH_SCHEMA, suite="smoke", repeats=1, results=[])
     doc["results"].append({"case": "x"})  # missing required result keys
     with pytest.raises(SchemaError, match="missing key"):
-        validate_bench_doc(doc)
+        validate(doc)
     doc["results"][0] = {
         "case": "x", "method": "hymv", "n_parts": 2, "n_dofs": 100,
         "phases": {"spmv.total": {"median": 1.0}},  # missing min/max/repeats
         "counters": {},
     }
     with pytest.raises(SchemaError, match="spmv.total"):
-        validate_bench_doc(doc)
+        validate(doc)
 
 
 def test_smoke_suite_produces_valid_deterministic_doc(tiny_doc):
-    assert validate_bench_doc(tiny_doc) is tiny_doc
+    assert validate(tiny_doc) is tiny_doc
     (res,) = tiny_doc["results"]
     assert result_key(res) == "poisson-tiny/hymv"
     # modeled mode: every repeat produces identical virtual times
@@ -71,7 +72,7 @@ def test_smoke_suite_produces_valid_deterministic_doc(tiny_doc):
     assert res["phases"]["spmv.total"]["median"] > 0
     assert res["counters"]["spmv.elements"] > 0
     # the whole document survives a JSON round trip
-    assert validate_bench_doc(json.loads(json.dumps(tiny_doc)))
+    assert validate(json.loads(json.dumps(tiny_doc)))
 
 
 # ----------------------------------------------------------------------------

@@ -293,11 +293,11 @@ def test_chaos_suite_all_scenarios_pass(tmp_path):
         assert s["restarts"] >= 1
 
     # the report is machine-readable and schema-valid after a round-trip
-    from repro.obs import validate_chaos_doc
+    from repro.obs import CHAOS_SCHEMA, validate
 
     p = tmp_path / "CHAOS_report.json"
     p.write_text(json.dumps(doc))
-    validate_chaos_doc(json.loads(p.read_text()))
+    validate(json.loads(p.read_text()), CHAOS_SCHEMA)
 
 
 def test_chaos_cli_smoke(tmp_path):

@@ -327,7 +327,7 @@ def test_forced_oracle_workload_never_runs_gemm():
 
 
 def test_serve_schema_v2_requires_modes():
-    from repro.obs.schema import SchemaError, new_serve_doc, validate_serve_doc
+    from repro.obs.schema import SERVE_SCHEMA, SchemaError, new_doc, validate
 
     sc = {
         "scenario": "s", "workload": {}, "requests": {
@@ -341,23 +341,20 @@ def test_serve_schema_v2_requires_modes():
         },
         "counters": {},
     }
-    doc = new_serve_doc()
-    doc["scenarios"] = [dict(sc)]
+    doc = new_doc(SERVE_SCHEMA, scenarios=[dict(sc)])
     with pytest.raises(SchemaError):
-        validate_serve_doc(doc)  # v2 without "modes"
+        validate(doc)  # v2 without "modes"
     doc["scenarios"][0]["modes"] = {"oracle": 0}
-    validate_serve_doc(doc)
+    validate(doc)
     # the pre-v2 schema id is no longer accepted on read
-    legacy = new_serve_doc()
-    legacy["schema"] = "repro.serve/1"
-    legacy["scenarios"] = [dict(sc)]
+    legacy = new_doc("repro.serve/1", scenarios=[dict(sc)])
     with pytest.raises(SchemaError):
-        validate_serve_doc(legacy)
+        validate(legacy)
 
 
 def test_load_calibrated_k_min_roundtrip(tmp_path):
     """A legacy kernels-bench document still yields the GEMM crossover
-    through the single tuned-config loader (what ``--k-min-from``
+    through the single tuned-config loader (what ``--tuned-from``
     reads)."""
     import json
 

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from repro.obs.schema import (
+    BENCH_SCHEMA,
     TUNE_CONFIG_SCHEMA,
-    new_bench_doc,
-    validate_tune_doc,
+    TUNE_SCHEMA,
+    new_doc,
+    validate,
 )
 from repro.tune.calibration import (
     TunedConfig,
@@ -187,9 +189,9 @@ class TestTunedConfigLoading:
         assert load_tuned_config(p).get("max_batch") == 16
 
     def test_legacy_bench_doc_maps_crossovers(self, tmp_path):
-        doc = new_bench_doc(suite="kernels", repeats=1, config={
+        doc = new_doc(BENCH_SCHEMA, {
             "gemm_k_min_crossover": 2, "sellcs_crossover_dofs": 4913,
-        })
+        }, suite="kernels", repeats=1, results=[])
         p = tmp_path / "BENCH_kernels.json"
         p.write_text(json.dumps(doc))
         tuned = load_tuned_config(p)
@@ -323,7 +325,7 @@ class TestHarness:
             seed=99, budget=4, kernels_baseline=KERNELS,
             sellcs_baseline=SELLCS, verbose=False,
         )
-        validate_tune_doc(doc)
+        validate(doc, TUNE_SCHEMA)
         d, w = doc["default"]["metrics"], doc["winner"]["metrics"]
         for key in GATED_METRICS:
             assert w[key] <= d[key]

@@ -171,7 +171,7 @@ def test_trace_and_gantt():
         else:
             comm.recv(0)
         comm.advance(0.2, "setup.emat_compute")
-        return len(comm.trace)
+        return len(comm.obs.events)
 
     res, sim = run_spmd(2, prog, trace=True)
     assert all(n >= 2 for n in res)
