@@ -14,7 +14,6 @@ count per-message bytes and wait time, and — with ``Simulator(trace=True)``
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -70,52 +69,44 @@ class Request:
 
 
 class _Mailbox:
-    """Thread-safe per-rank mailbox with (source, tag, seq) matching.
+    """Per-rank message queues with (source, tag, seq) matching.
 
     Messages carry per-edge sequence numbers, so matching is immune to
     physical delivery order: a :class:`repro.faults.plan.Reorder` fault
     may enqueue a message at the *front* of its queue, and receives still
     complete in posted order (MPI's non-overtaking guarantee, restored at
-    the receiver).
+    the receiver).  Not locked itself: the owning simulator's lock guards
+    every call, and the simulator does the blocking.
     """
 
-    def __init__(self, abort: threading.Event) -> None:
-        self._abort = abort
-        self._cond = threading.Condition()
+    def __init__(self) -> None:
         self._queues: dict[tuple[int, int], deque[_Message]] = {}
 
     def put(
         self, source: int, tag: int, msg: _Message, front: bool = False
     ) -> None:
-        with self._cond:
-            q = self._queues.setdefault((source, tag), deque())
-            if front:
-                q.appendleft(msg)
-            else:
-                q.append(msg)
-            self._cond.notify_all()
+        q = self._queues.setdefault((source, tag), deque())
+        if front:
+            q.appendleft(msg)
+        else:
+            q.append(msg)
 
-    def get(self, source: int, tag: int, seq: int) -> _Message:
-        key = (source, tag)
-        with self._cond:
-            while True:
-                q = self._queues.get(key)
-                if q:
-                    for i, msg in enumerate(q):
-                        if msg.seq == seq:
-                            del q[i]
-                            return msg
-                if self._abort.is_set():
-                    raise _Aborted()
-                self._cond.wait(timeout=0.05)
-
-    def wake(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
+    def take(self, source: int, tag: int, seq: int) -> _Message | None:
+        """Remove and return message ``seq`` of ``(source, tag)``, or
+        ``None`` when it has not arrived."""
+        q = self._queues.get((source, tag))
+        if q:
+            for i, msg in enumerate(q):
+                if msg.seq == seq:
+                    del q[i]
+                    return msg
+        return None
 
     def empty(self) -> bool:
-        with self._cond:
-            return all(not q for q in self._queues.values())
+        return all(not q for q in self._queues.values())
+
+    def clear(self) -> None:
+        self._queues.clear()
 
 
 class Communicator:
@@ -147,6 +138,11 @@ class Communicator:
         # per-edge sequence counters for send/recv matching
         self._send_seq: dict[tuple[int, int], int] = {}
         self._recv_seq: dict[tuple[int, int], int] = {}
+
+    def reset_sequences(self) -> None:
+        """Forget the per-edge sequence numbers (after a failed run)."""
+        self._send_seq.clear()
+        self._recv_seq.clear()
 
     @property
     def faults_active(self) -> bool:
@@ -212,7 +208,8 @@ class Communicator:
             + self.network.msg_time(self.rank, dest, nbytes)
             + extra_delay
         )
-        self._sim.mailbox(dest).put(
+        self._sim.deliver(
+            dest,
             self.rank,
             tag,
             _Message(payload, arrival, seq=seq, checksum=checksum, drops=drops),
@@ -241,7 +238,7 @@ class Communicator:
         if req.done:
             return req.payload
         t0 = self.vtime
-        msg = self._sim.mailbox(self.rank).get(req.peer, req.tag, req.seq)
+        msg = self._sim.receive(self.rank, req.peer, req.tag, req.seq)
         req.payload = msg.payload
         nbytes = _nbytes(req.payload)
         complete = max(self.vtime, msg.arrival_vtime)

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -94,6 +100,141 @@ def test_exception_propagates_and_aborts_peers():
 
     with pytest.raises(KeyError):
         run_spmd(3, prog)
+
+
+def _bounded(fn, timeout: float = 10.0):
+    """Run ``fn`` on a helper thread; returns ``(exception, seconds)``.
+    A hang fails the test instead of the suite."""
+    out: dict = {}
+
+    def target():
+        t0 = time.perf_counter()
+        try:
+            fn()
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            out["exc"] = exc
+        out["dt"] = time.perf_counter() - t0
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout=timeout)
+    assert not t.is_alive(), "simulated run hung"
+    return out.get("exc"), out["dt"]
+
+
+@pytest.mark.parametrize(
+    "n, prog, waits",
+    [
+        (1, lambda c: c.recv(0, 9), ["rank 0 waits for ('recv', 0, 9)"]),
+        (
+            2,
+            lambda c: c.recv(1 - c.rank, 3),
+            ["rank 0 waits for ('recv', 1, 3)", "rank 1 waits for ('recv', 0, 3)"],
+        ),
+        (
+            3,
+            lambda c: None if c.rank == 0 else c.allreduce(1.0),
+            [
+                "rank 1 waits for ('collective', 0)",
+                "rank 2 waits for ('collective', 0)",
+            ],
+        ),
+    ],
+    ids=["p1-recv", "p2-crossed-recv", "p3-exit-in-allreduce"],
+)
+def test_deadlock_raises_at_once_naming_each_wait(n, prog, waits):
+    exc, dt = _bounded(lambda: run_spmd(n, prog))
+    assert isinstance(exc, RuntimeError), exc
+    msg = str(exc)
+    assert msg.startswith("simulated ranks deadlocked: ")
+    assert msg.count("waits for") == len(waits)
+    for w in waits:
+        assert w in msg
+    assert dt < 1.0
+
+
+def test_failed_run_leaves_simulator_reusable():
+    """A rank fails while its peers sit in recv and in allreduce, leaving
+    an unreceived message and a half-filled collective behind; the same
+    simulator then runs a clean program to exact results."""
+
+    def failing(comm):
+        if comm.rank == 0:
+            time.sleep(0.05)  # let the peers block first
+            raise KeyError("rank0 failure")
+        if comm.rank == 1:
+            comm.isend(np.full(3, -1.0), 2, tag=7)
+            comm.recv(0, tag=1)
+        else:
+            comm.allreduce(1.0)
+
+    def clean(comm):
+        comm.isend(np.full(3, float(comm.rank)), (comm.rank + 1) % 4, tag=7)
+        got = comm.recv((comm.rank - 1) % 4, tag=7)
+        return got, comm.allreduce(np.full(2, float(comm.rank)))
+
+    sim = Simulator(4)
+    exc, _ = _bounded(lambda: sim.run(failing))
+    assert isinstance(exc, KeyError)
+    out: list = []
+    exc, _ = _bounded(lambda: out.extend(sim.run(clean)))
+    assert exc is None, exc
+    assert len(out) == 4
+    for r, (got, total) in enumerate(out):
+        np.testing.assert_array_equal(got, np.full(3, float((r - 1) % 4)))
+        np.testing.assert_array_equal(total, np.full(2, 6.0))
+
+
+def test_runs_reuse_parked_rank_threads():
+    threads: set = set()
+
+    def prog(comm):
+        threads.add(threading.current_thread())
+        return comm.allreduce(comm.rank)
+
+    sim = Simulator(4)
+    sim.run(prog)  # warm-up: the pool grows to four parked workers
+    threads.clear()
+    before = threading.active_count()
+    for _ in range(200):
+        assert sim.run(prog) == [6] * 4
+    assert threading.active_count() <= before + 4
+    assert len(threads) == 4
+    assert threading.current_thread() not in threads
+
+
+def test_handoff_survives_preemption_with_more_ranks_than_cores():
+    """Ring exchanges and allreduces with a tiny switch interval: a lost
+    wakeup shows as a false deadlock error or a hang, a lost update as a
+    wrong sum."""
+
+    def prog(comm):
+        acc = 0
+        for i in range(100):
+            comm.isend(comm.rank + i, (comm.rank + 1) % comm.size, tag=i % 3)
+            acc += comm.recv((comm.rank - 1) % comm.size, tag=i % 3)
+            assert comm.allreduce(comm.rank + i) == 28 + 8 * i
+        return acc
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        exc, _ = _bounded(lambda: run_spmd(8, prog), timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert exc is None, exc
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_rank_threads():
+    run_spmd(2, lambda c: c.barrier())  # this process now has parked workers
+    pid = os.fork()
+    if pid == 0:  # the child dies by SIGALRM if the run hangs
+        signal.alarm(10)
+        ok = run_spmd(2, lambda c: c.allreduce(1))[0] == [2, 2]
+        os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_unreceived_messages_flagged():
