@@ -18,7 +18,7 @@ def tables():
 
 def test_fig10_reproduction_values(tables, save_tables):
     save_tables("fig10", tables)
-    table, art = tables
+    table, art, gpu = tables
     rows = {r[0]: r for r in table.rows}
     for method, (ai_p, gf_p) in PAPER_ROOFLINE.items():
         _, ai_m, ai_paper, gf_m, gf_paper, gf_host, _ = rows[method]
@@ -32,6 +32,13 @@ def test_fig10_reproduction_values(tables, save_tables):
     assert rows["matfree"][3] > rows["hymv"][3] > rows["assembled"][3]
     # host-measured ordering: matfree achieves the highest NumPy rate too
     assert rows["matfree"][5] > rows["assembled"][5]
+    # the modeled GPU table: one positive SPMV time per method row
+    gpu_times = {r[0]: r[1] for r in gpu.rows}
+    assert len(gpu_times) == len(gpu.rows)
+    assert set(gpu_times) == {
+        "hymv_gpu", "assembled_gpu", "sellcs_gpu", "sellcs_gpu_C8"
+    }
+    assert all(t > 0 for t in gpu_times.values())
 
 
 def test_fig10_counter_kernel(benchmark):

@@ -148,7 +148,7 @@ def emv_columns(
     """Column-major sum-of-scaled-columns EMV (paper eq. 4).
 
     ``ve = sum_j Ke[:, j] * ue[j]`` — each term is a contiguous column
-    streamed through a fused multiply-add, which is how the paper's SIMD
+    streamed through a multiply-add, which is how the paper's SIMD
     kernel is written.
 
     Parameters

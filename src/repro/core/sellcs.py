@@ -371,7 +371,7 @@ def sell_spmm(
     """``Y = A @ X`` through the group-major layout: one dense
     ``(rows, 1, w) @ (rows, w, k)`` batched matmul per equal-width chunk
     run.  BLAS3 semantics — equal to the per-column oracle to rounding
-    (each row contracts its ``w`` lanes in one fused reduction), not
+    (each row contracts its ``w`` lanes in one reduction), not
     bitwise.  Allocation-free given a matching ``k > 1`` workspace.
     """
     k = ws.k

@@ -507,7 +507,7 @@ def _run_case_sellcs(
     ``sellcs.padded_nnz`` / ``sellcs.occupancy`` gauges plus the floored
     allocation counter CI gates to zero.  The speedup column is honest
     about numpy-vs-scipy reality: slice kernels pay ~3 memory passes
-    against scipy's fused C loop, so these ratios sit below 1.
+    against scipy's single C loop, so these ratios sit below 1.
 
     Multi-RHS (k in SELLCS_KS): the reference is the assembled
     *per-column oracle* (k halo rounds + k CSR products — the serve

@@ -249,7 +249,7 @@ def _solve_program(comm, st, Fr, rtol, maxiter, degraded, mode="auto"):
     k = Fr.shape[1]
     if degraded:
         # fault-aware degradation: per-column resilient CG (breakdown
-        # detection + restart) instead of the lock-step fused batch
+        # detection + restart) instead of the lock-step blocked batch
         xs, iters, conv, restarts = [], [], [], []
         for j in range(k):
             apply_hat, b_hat = _hat_single(st, Fr[:, j])

@@ -11,7 +11,6 @@ from repro.solvers.cg import CGResult, ResilienceConfig, cg
 from repro.solvers.constrained import dirichlet_system
 from repro.solvers.preconditioners import (
     BlockJacobiPreconditioner,
-    IdentityPreconditioner,
     JacobiPreconditioner,
 )
 
@@ -19,7 +18,6 @@ __all__ = [
     "cg",
     "CGResult",
     "ResilienceConfig",
-    "IdentityPreconditioner",
     "JacobiPreconditioner",
     "BlockJacobiPreconditioner",
     "dirichlet_system",

@@ -8,6 +8,7 @@ labour as PETSc's KSPCG over a MatShell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,7 +23,7 @@ ApplyFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Breakdown detection + restart policy for :func:`cg`.
+    """Breakdown detection + restart policy for :func:`cg_multi`.
 
     When passed, every iteration reduces a fault flag across ranks (one
     extra scalar allreduce): non-finite ``p^T A p`` / residual norms,
@@ -70,9 +71,9 @@ def cg(
     atol: float = 0.0,
     maxiter: int = 10000,
     resilience: ResilienceConfig | None = None,
-    fused: bool = True,
 ) -> CGResult:
-    """Preconditioned CG on the distributed system ``A x = b``.
+    """Preconditioned CG on the distributed system ``A x = b``: the
+    ``k = 1`` case of :func:`cg_multi`.
 
     Parameters
     ----------
@@ -84,224 +85,32 @@ def cg(
         Owned right-hand side.
     apply_M:
         Preconditioner application (``M ≈ A^-1``); identity if None.
-        May optionally accept an ``out=`` keyword to apply in place.
+        The solver keeps each returned array until the next application,
+        so it must not hand out a buffer it reuses.
     rtol:
         Relative tolerance on ``||r||_2 / ||r_0||_2`` (the paper solves to
         ``1e-3``).
     resilience:
         Optional :class:`ResilienceConfig` enabling breakdown detection
         and restart-from-last-good-iterate (chaos/fault-injection runs).
-        ``None`` keeps the classic fail-fast behaviour bit-for-bit.
-    fused:
-        Use the fused-reduction iteration: the residual norm and the
-        ``r·z`` dot product are shipped as a *single* allreduce of a
-        2-vector per iteration (half the global synchronizations), with
-        all solver vectors preallocated and updated in place.  Iterates
-        are bitwise identical to the classic loop (the simulated
-        allreduce reduces vectors elementwise in the same rank order as
-        scalars, and the in-place axpy updates round identically).
-        Ignored when ``resilience`` is active — the restart path keeps
-        the classic, separately-guarded reductions.
+        ``None`` fails fast on a non-SPD breakdown.
     """
+    b = np.asarray(b, dtype=np.float64)
+    n = b.shape[0]
 
-    obs = comm.obs
-    detect = resilience is not None
+    def apply_block(P: np.ndarray) -> np.ndarray:
+        return apply_A(P.ravel()).reshape(n, 1)
 
-    def dot(u: np.ndarray, v: np.ndarray) -> float:
-        t = comm.vtime
-        s = float(comm.allreduce(float(u @ v)))
-        obs.record("solve.reduce", vtime=comm.vtime - t)
-        return s
-
-    def matvec(p: np.ndarray) -> np.ndarray:
-        t = comm.vtime
-        Ap = apply_A(p)
-        obs.record("solve.spmv", vtime=comm.vtime - t)
-        return Ap
-
-    def precond(r: np.ndarray) -> np.ndarray:
-        if apply_M is None:
-            return r
-        t = comm.vtime
-        z = apply_M(r)
-        obs.record("solve.precond", vtime=comm.vtime - t)
-        return z
-
-    if fused and not detect:
-        return _cg_fused(
-            comm, apply_A, b, x0, apply_M, rtol, atol, maxiter,
-            dot=dot, matvec=matvec,
-        )
-
-    t_solve = comm.vtime
-    x = np.zeros_like(b) if x0 is None else x0.astype(np.float64).copy()
-    r = b - matvec(x) if x0 is not None else b.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = dot(r, z)
-    r0 = np.sqrt(dot(r, r))
-    norms = [r0]
-    if r0 == 0.0:
-        return CGResult(x, 0, True, norms)
-
-    x_good = x.copy() if detect else None
-    seen_faults = _fault_signals(obs) if detect else 0.0
-    restarts = 0
-    converged = False
-    it = 0
-    for it in range(1, maxiter + 1):
-        Ap = matvec(p)
-        pAp = dot(p, Ap)
-        if detect:
-            broken = (not np.isfinite(pAp)) or pAp <= 0.0
-            if not broken:
-                alpha = rz / pAp
-                x += alpha * p
-                r -= alpha * Ap
-                rn = np.sqrt(dot(r, r))
-                broken = not np.isfinite(rn)
-            faulted = _fault_signals(obs) > seen_faults
-            flag = comm.allreduce(1.0 if (broken or faulted) else 0.0, op="max")
-            if flag > 0.0:
-                # collective rollback: every rank restores the last iterate
-                # that completed without breakdowns or detected corruption,
-                # then rebuilds the Krylov state from a fresh residual
-                seen_faults = _fault_signals(obs)
-                restarts += 1
-                obs.incr("solve.breakdowns")
-                if restarts > resilience.max_restarts:
-                    raise RuntimeError(
-                        "CG: breakdown/corruption persisted beyond "
-                        f"max_restarts={resilience.max_restarts}"
-                    )
-                obs.incr("solve.restarts")
-                t_r = comm.vtime
-                x = x_good.copy()
-                r = b - matvec(x)
-                z = precond(r)
-                p = z.copy()
-                rz = dot(r, z)
-                obs.record("solve.restart", vtime=comm.vtime - t_r)
-                continue
-            x_good = x.copy()
-        else:
-            if pAp <= 0.0:
-                raise RuntimeError(
-                    f"CG breakdown: p^T A p = {pAp:.3e} (operator not SPD?)"
-                )
-            alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            rn = np.sqrt(dot(r, r))
-        norms.append(rn)
-        if rn <= max(rtol * r0, atol):
-            converged = True
-            break
-        z = precond(r)
-        rz_new = dot(r, z)
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
-    obs.incr("solve.iterations", it)
-    obs.record("solve.cg", vtime=comm.vtime - t_solve)
-    return CGResult(x, it, converged, norms, restarts=restarts)
+    return cg_multi(
+        comm, apply_block, b.reshape(n, 1),
+        x0=None if x0 is None else np.reshape(x0, (n, 1)),
+        apply_M=apply_M, rtol=rtol, atol=atol, maxiter=maxiter,
+        resilience=resilience,
+    )[0]
 
 
-def _cg_fused(
-    comm: Communicator,
-    apply_A: ApplyFn,
-    b: np.ndarray,
-    x0: np.ndarray | None,
-    apply_M: ApplyFn | None,
-    rtol: float,
-    atol: float,
-    maxiter: int,
-    dot: Callable[[np.ndarray, np.ndarray], float],
-    matvec: ApplyFn,
-) -> CGResult:
-    """Fused-reduction CG iteration (no resilience).
-
-    One allreduce of ``[r·r, r·z]`` per iteration instead of two scalar
-    reductions, preallocated axpy scratch, in-place direction update.
-    Bitwise identical iterates to the classic loop; the preconditioner
-    is applied *before* the convergence check (its value is discarded on
-    the final iteration), which does not change any iterate.
-    """
-    obs = comm.obs
-    t_solve = comm.vtime
-    x = np.zeros_like(b) if x0 is None else x0.astype(np.float64).copy()
-    r = b - matvec(x) if x0 is not None else b.copy()
-
-    zbuf = np.empty_like(b) if apply_M is not None else None
-    use_out = apply_M is not None  # downgraded on first TypeError
-
-    def precond(r: np.ndarray) -> np.ndarray:
-        nonlocal use_out
-        if apply_M is None:
-            return r
-        t = comm.vtime
-        if use_out:
-            try:
-                z = apply_M(r, out=zbuf)
-            except TypeError:
-                use_out = False
-                z = apply_M(r)
-        else:
-            z = apply_M(r)
-        obs.record("solve.precond", vtime=comm.vtime - t)
-        return z
-
-    z = precond(r)
-    p = z.copy()
-    rz = dot(r, z)
-    r0 = np.sqrt(dot(r, r))
-    norms = [r0]
-    if r0 == 0.0:
-        return CGResult(x, 0, True, norms)
-
-    w = np.empty_like(b)  # axpy scratch (alpha*p, then alpha*Ap)
-    pair = np.empty(2)  # fused-reduction payload [r.r, r.z]
-    converged = False
-    it = 0
-    for it in range(1, maxiter + 1):
-        Ap = matvec(p)
-        pAp = dot(p, Ap)
-        if pAp <= 0.0:
-            raise RuntimeError(
-                f"CG breakdown: p^T A p = {pAp:.3e} (operator not SPD?)"
-            )
-        alpha = rz / pAp
-        np.multiply(p, alpha, out=w)
-        x += w
-        np.multiply(Ap, alpha, out=w)
-        r -= w
-        z = precond(r)
-        pair[0] = r @ r
-        pair[1] = r @ z
-        t = comm.vtime
-        red = comm.allreduce(pair)
-        obs.record("solve.reduce", vtime=comm.vtime - t)
-        rn = float(np.sqrt(red[0]))
-        norms.append(rn)
-        if rn <= max(rtol * r0, atol):
-            converged = True
-            break
-        rz_new = float(red[1])
-        beta = rz_new / rz
-        rz = rz_new
-        # p = z + beta*p in place (IEEE addition commutes bitwise)
-        p *= beta
-        p += z
-    obs.incr("solve.iterations", it)
-    obs.record("solve.cg", vtime=comm.vtime - t_solve)
-    return CGResult(x, it, converged, norms)
-
-
-def _col(A: np.ndarray, j: int) -> np.ndarray:
-    """Contiguous copy of column ``j`` — dots must run on contiguous
-    operands so BLAS picks the same accumulation path as the single-RHS
-    loop (strided ddot kernels may sum in a different order)."""
-    return np.ascontiguousarray(A[:, j])
+def _identity(v: np.ndarray) -> np.ndarray:
+    return v
 
 
 def cg_multi(
@@ -314,25 +123,28 @@ def cg_multi(
     atol: float = 0.0,
     maxiter: int = 10000,
     mode: str | None = None,
+    resilience: ResilienceConfig | None = None,
 ) -> list[CGResult]:
     """Blocked multi-RHS CG: solve ``A X = B`` for all ``k`` columns of
     ``B`` at once, advancing the ``k`` independent Krylov iterations in
-    lock-step.
+    lock-step.  This is the only CG iteration; :func:`cg` is its
+    ``k = 1`` case.
 
-    With the default/oracle execution, column ``j`` of the result is
-    **bitwise identical** to ``cg(comm, ..., B[:, j], fused=True)``: each
-    column's arithmetic is the exact fused-loop sequence (same in-place
-    axpy updates, same contiguous dot operands), the columns never mix
-    numerically, and a converged column is frozen — never touched again —
-    just as its single-RHS solve would have stopped.  What *is* batched
-    is the synchronization: each iteration ships ONE allreduce of a
-    ``k``-vector of ``p·Ap`` values and one of the fused ``[r·r, r·z]``
-    pairs, where ``k`` sequential solves would ship ``2 k`` — the
-    elementwise vector reduction reduces every slot in the same rank
-    order as a scalar, so the reduced values carry the single-RHS bits.
-    With the batched SPMV (``apply_owned_multi``) as ``apply_A`` this is
-    the serve layer's latency story: global synchronizations per
-    iteration drop k-fold.
+    Each iteration ships ONE allreduce of a ``k``-vector of ``p·Ap``
+    values and one of the ``[r·r, r·z]`` pairs of every column (the
+    residual norm and the ``beta`` numerator travel together, so the
+    preconditioner runs before the convergence check and its value is
+    discarded on the final iteration).  All block vectors are
+    preallocated and updated in place through per-column views cached
+    once per solve.  With the default/oracle execution, column ``j`` is
+    **bitwise identical** to ``cg(comm, ..., B[:, j])``: each column's
+    arithmetic is the same axpy sequence on contiguous dot operands, the
+    columns never mix numerically, the elementwise vector allreduce
+    reduces every slot in the same rank order as a scalar, and a
+    converged column is frozen — never touched again — just as its
+    single-RHS solve would have stopped.  With the batched SPMV
+    (``apply_owned_multi``) as ``apply_A`` global synchronizations per
+    iteration drop k-fold against ``k`` sequential solves.
 
     ``mode`` (``"oracle"`` | ``"gemm"`` | ``"auto"``) is forwarded to
     ``apply_A`` as a keyword on every matvec, selecting the multi-RHS
@@ -343,6 +155,13 @@ def cg_multi(
     reorders accumulation, see
     :func:`repro.core.kernels.gemm_equivalence_rtol`); CG convergence
     behaviour is unaffected beyond the usual last-ulp iterate drift.
+
+    ``resilience`` adds one max-allreduce fault flag per iteration: a
+    non-finite or non-positive ``p·Ap``, a non-finite ``[r·r, r·z]``
+    pair, or locally detected ghost corruption on any rank rolls every
+    unconverged column back to the last clean block iterate in
+    lock-step.  A fault-free resilient solve is bitwise identical to the
+    plain one.  Without it, ``p·Ap <= 0`` raises and a NaN runs on.
 
     Returns one :class:`CGResult` per column.
     """
@@ -359,95 +178,140 @@ def cg_multi(
         obs.record("solve.spmv", vtime=comm.vtime - t)
         return AP
 
-    def reduce_vec(payload: np.ndarray) -> np.ndarray:
+    def reduce(payload: np.ndarray) -> list[float]:
+        # every payload is a fresh array: sibling ranks read it by
+        # reference while they reduce
         t = comm.vtime
         out = comm.allreduce(payload)
         obs.record("solve.reduce", vtime=comm.vtime - t)
-        return np.asarray(out)
+        return out.tolist()
 
     X = np.zeros_like(B) if x0 is None else np.asarray(
         x0, dtype=np.float64
     ).reshape(n, k).copy()
     R = B - matvec(X) if x0 is not None else B.copy()
-    Z = R if apply_M is None else np.empty_like(B)
-    active = np.ones(k, dtype=bool)
+    P = np.empty_like(B)
+    # every block update below is in place, so these views stay valid
+    xs, rs, ps = ([V[:, j] for j in range(k)] for V in (X, R, P))
+    # z_j: the preconditioner's fresh array, or r_j itself without one
+    zs = list(rs)
+    # dots run on contiguous operands so BLAS picks the same accumulation
+    # path for every k (strided ddot kernels may sum in a different order)
+    col = _identity if k == 1 else np.ascontiguousarray
+    live = list(range(k))  # unconverged columns, in column order
 
-    def precond_into() -> None:
+    def precond() -> None:
         if apply_M is None:
             return
         t = comm.vtime
-        for j in range(k):
-            if active[j]:
-                Z[:, j] = apply_M(_col(R, j))
+        for j in live:
+            zs[j] = apply_M(col(rs[j]))
         obs.record("solve.precond", vtime=comm.vtime - t)
 
-    precond_into()
-    P = Z.copy()
-    payload = np.zeros(k)
-    for j in range(k):
-        payload[j] = float(_col(R, j) @ _col(Z, j))
-    rz = reduce_vec(payload.copy())
-    for j in range(k):
-        payload[j] = float(_col(R, j) @ _col(R, j))
-    r0 = np.sqrt(reduce_vec(payload.copy()))
-    norms = [[float(r0[j])] for j in range(k)]
-    iters = [0] * k
-    conv = [False] * k
-    for j in range(k):
-        if r0[j] == 0.0:
-            active[j] = False
-            conv[j] = True
+    def restart_directions() -> list[float]:
+        precond()
+        dots = np.zeros(k)
+        for j in live:
+            ps[j][...] = zs[j]
+            dots[j] = col(rs[j]).dot(col(zs[j]))
+        return reduce(dots)
 
+    rz = restart_directions()
+    dots = np.zeros(k)
+    for j in live:
+        dots[j] = col(rs[j]).dot(col(rs[j]))
+    r0 = [math.sqrt(v) for v in reduce(dots)]
+    tol = [max(rtol * v, atol) for v in r0]
+    norms = [[v] for v in r0]
+    iters = [0] * k
+    conv = [v == 0.0 for v in r0]
+    live = [j for j in live if not conv[j]]
+
+    detect = resilience is not None
+    if detect:
+        X_good = X.copy()
+        seen_faults = _fault_signals(obs)
+    restarts = 0
     w = np.empty(n)  # axpy scratch, shared across columns
-    pair = np.empty(2 * k)  # fused payload: [r·r, r·z] per column
     it = 0
-    while bool(active.any()) and it < maxiter:
+    while live and it < maxiter:
         it += 1
         AP = matvec(P)
-        payload[:] = 0.0
-        for j in range(k):
-            if active[j]:
-                payload[j] = float(_col(P, j) @ _col(AP, j))
-        pAp = reduce_vec(payload.copy())
-        for j in range(k):
-            if active[j] and pAp[j] <= 0.0:
-                raise RuntimeError(
-                    f"CG breakdown: p^T A p = {pAp[j]:.3e} (operator not SPD?)"
-                )
-        for j in range(k):
-            if not active[j]:
-                continue
-            alpha = float(rz[j]) / float(pAp[j])
-            np.multiply(P[:, j], alpha, out=w)
-            X[:, j] += w
+        dots = np.zeros(k)
+        for j in live:
+            dots[j] = col(ps[j]).dot(col(AP[:, j]))
+        pAp = reduce(dots)
+        broken = False
+        for j in live:
+            if pAp[j] <= 0.0 or (detect and not math.isfinite(pAp[j])):
+                if not detect:
+                    raise RuntimeError(
+                        f"CG breakdown: p^T A p = {pAp[j]:.3e} "
+                        "(operator not SPD?)"
+                    )
+                broken = True  # the rollback below undoes any update
+                break
+            alpha = rz[j] / pAp[j]
+            np.multiply(ps[j], alpha, out=w)
+            xs[j] += w
             np.multiply(AP[:, j], alpha, out=w)
-            R[:, j] -= w
-        precond_into()
-        pair[:] = 0.0
-        for j in range(k):
-            if active[j]:
-                pair[2 * j] = float(_col(R, j) @ _col(R, j))
-                pair[2 * j + 1] = float(_col(R, j) @ _col(Z, j))
-        red = reduce_vec(pair.copy())
-        for j in range(k):
-            if not active[j]:
+            rs[j] -= w
+        if not broken:
+            precond()
+            pairs = np.zeros(2 * k)  # [r·r, r·z] per column
+            for j in live:
+                r = col(rs[j])
+                pairs[2 * j] = r.dot(r)
+                pairs[2 * j + 1] = r.dot(col(zs[j]))
+            red = reduce(pairs)
+            broken = detect and not all(map(math.isfinite, red))
+        if detect:
+            faulted = _fault_signals(obs) > seen_faults
+            flag = comm.allreduce(1.0 if (broken or faulted) else 0.0, op="max")
+            if flag > 0.0:
+                # collective rollback: every rank restores the last block
+                # iterate that completed without breakdowns or detected
+                # corruption, then rebuilds the Krylov state from fresh
+                # residuals
+                seen_faults = _fault_signals(obs)
+                restarts += 1
+                obs.incr("solve.breakdowns")
+                if restarts > resilience.max_restarts:
+                    raise RuntimeError(
+                        "CG: breakdown/corruption persisted beyond "
+                        f"max_restarts={resilience.max_restarts}"
+                    )
+                obs.incr("solve.restarts")
+                t_r = comm.vtime
+                np.copyto(X, X_good)
+                np.subtract(B, matvec(X), out=R)
+                rz = restart_directions()
+                obs.record("solve.restart", vtime=comm.vtime - t_r)
                 continue
-            rn = float(np.sqrt(red[2 * j]))
+            np.copyto(X_good, X)
+        still = []
+        for j in live:
+            rn = math.sqrt(red[2 * j])
             norms[j].append(rn)
-            iters[j] = it
-            if rn <= max(rtol * float(r0[j]), atol):
+            if rn <= tol[j]:
                 conv[j] = True
-                active[j] = False
+                iters[j] = it
                 continue
-            rz_new = float(red[2 * j + 1])
-            beta = rz_new / float(rz[j])
-            rz[j] = rz_new
-            P[:, j] *= beta
-            P[:, j] += Z[:, j]
+            beta = red[2 * j + 1] / rz[j]
+            rz[j] = red[2 * j + 1]
+            # p = z + beta*p in place (IEEE addition commutes bitwise)
+            ps[j] *= beta
+            ps[j] += zs[j]
+            still.append(j)
+        live = still
+    for j in live:
+        iters[j] = it
     obs.incr("solve.iterations", sum(iters))
-    obs.incr("solve.mrhs_columns", k)
     obs.record("solve.cg", vtime=comm.vtime - t_solve)
     return [
-        CGResult(np.ascontiguousarray(X[:, j]), iters[j], conv[j], norms[j])
+        CGResult(
+            np.ascontiguousarray(xs[j]), iters[j], conv[j], norms[j],
+            restarts=restarts,
+        )
         for j in range(k)
     ]

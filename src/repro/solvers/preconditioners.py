@@ -17,23 +17,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "IdentityPreconditioner",
     "JacobiPreconditioner",
     "BlockJacobiPreconditioner",
 ]
-
-
-class IdentityPreconditioner:
-    """No preconditioning."""
-
-    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            return r.copy()
-        np.copyto(out, r)
-        return out
-
-    setup_flops = 0.0
-    apply_flops = 0.0
 
 
 class JacobiPreconditioner:
@@ -49,11 +35,8 @@ class JacobiPreconditioner:
         self.setup_flops = float(diagonal.size)
         self.apply_flops = float(diagonal.size)
 
-    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            return r * self._inv
-        np.multiply(r, self._inv, out=out)
-        return out
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return r * self._inv
 
 
 class BlockJacobiPreconditioner:

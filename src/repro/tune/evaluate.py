@@ -8,8 +8,8 @@ the exact knob subset it reads (so a hill-climb step that only moves
   :class:`~repro.serve.service.SolverService` in virtual time
   (throughput, p99, per-request latency), with the config's backend
   crossover and SELL ``(C, sigma)`` defaults installed;
-* **solve** — one distributed CG solve in pure virtual time
-  (fused vs classic iteration);
+* **solve** — one distributed CG solve in pure virtual time (no knob
+  moves it, so it runs once per evaluator);
 * **layout** — an exact SELL-C-sigma build of a reference stencil
   matrix (occupancy and stored bytes, the padding the memory objective
   charges);
@@ -231,18 +231,17 @@ class Evaluator(BaseEvaluator):
         return out
 
     def _solve_probe(self, config: dict) -> dict:
-        key = (config["fused_cg"],)
+        key = ()
         if key in self._solve_cache:
             return self._solve_cache[key]
         from repro.harness.driver import run_solve
         from repro.problems import elastic_bar_problem
 
-        # elastic needs ~130 CG iterations, so the fused iteration's
-        # halved allreduce count shows up in the virtual solve time
+        # at compute_scale=0 the virtual solve time is the halo and
+        # allreduce latency of elastic's ~130 CG iterations
         outcome = run_solve(
             elastic_bar_problem(4, 2, ElementType.HEX8), "hymv",
             rtol=1e-8, maxiter=400, compute_scale=0.0,
-            cg_fused=config["fused_cg"],
         )
         out = {
             "solve.vtime_s": float(outcome.solve_time),

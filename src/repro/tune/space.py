@@ -11,7 +11,7 @@ evaluation-cache entry.
 
 :data:`default_space` covers every hand-picked default the system
 exposes: GPU streams ``Ns``, chunk count, micro-batch cap, cache
-capacity, queue bound, fused-vs-classic CG, the GEMM ``k_min``
+capacity, queue bound, the GEMM ``k_min``
 crossover, the HYMV-vs-SELL backend crossover, and SELL ``(C, sigma)``.
 """
 
@@ -29,7 +29,6 @@ from repro.core.sellcs import DEFAULT_C, DEFAULT_SIGMA_FACTOR
 __all__ = [
     "Knob",
     "SearchSpace",
-    "bool_knob",
     "choice_knob",
     "default_space",
     "int_knob",
@@ -49,7 +48,7 @@ class Knob:
     name: str
     values: tuple
     default: Any
-    kind: str = "choice"  # "int" | "choice" | "bool"
+    kind: str = "choice"  # "int" | "choice"
     log: bool = False  # grid was log-spaced (documentation of intent)
     condition: Callable[[dict], bool] | None = field(
         default=None, compare=False
@@ -119,17 +118,6 @@ def choice_knob(
 ) -> Knob:
     return Knob(
         name=name, values=tuple(values), default=default, kind="choice",
-        condition=condition,
-    )
-
-
-def bool_knob(
-    name: str,
-    default: bool,
-    condition: Callable[[dict], bool] | None = None,
-) -> Knob:
-    return Knob(
-        name=name, values=(False, True), default=default, kind="bool",
         condition=condition,
     )
 
@@ -263,8 +251,6 @@ def default_space() -> SearchSpace:
         choice_knob("max_batch", (2, 4, 6, 8, 12, 16, 24, 32), default=8),
         choice_knob("cache_capacity", (1, 2, 3, 4, 6, 8), default=2),
         int_knob("queue_capacity", 8, 128, default=32, log=True),
-        # solver
-        bool_knob("fused_cg", default=True),
         # BLAS3 crossover
         int_knob("gemm_k_min", 1, 32, default=8, log=True),
         # backend routing: largest dof count still served by SELL

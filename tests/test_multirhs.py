@@ -130,7 +130,7 @@ def test_multivector_shape_validation():
 
 
 # ----------------------------------------------------------------------------
-# cg_multi vs the production single-RHS fused CG
+# cg_multi vs the production single-RHS CG
 # ----------------------------------------------------------------------------
 
 def _cg_program(comm, lmesh, Fr, spec, k, rtol):
@@ -155,14 +155,14 @@ def _cg_program(comm, lmesh, Fr, spec, k, rtol):
     d[mask] = 1.0
     M = JacobiPreconditioner(d)
 
-    # production path: k independent fused single-RHS solves
+    # production path: k independent single-RHS solves
     singles = []
     for j in range(k):
         apply_hat, b_hat = dirichlet_system(
             A.apply_owned, np.ascontiguousarray(Fr[:, j]), u0, mask
         )
         singles.append(
-            cg(comm, apply_hat, b_hat, apply_M=M, rtol=rtol, fused=True)
+            cg(comm, apply_hat, b_hat, apply_M=M, rtol=rtol)
         )
 
     # batched path

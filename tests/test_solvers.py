@@ -10,9 +10,11 @@ from repro.simmpi import run_spmd
 from repro.solvers import (
     BlockJacobiPreconditioner,
     JacobiPreconditioner,
+    ResilienceConfig,
     cg,
     dirichlet_system,
 )
+from repro.solvers.cg import cg_multi
 
 
 def _spd_matrix(n, seed=0, cond=50.0):
@@ -89,60 +91,11 @@ def test_cg_maxiter_not_converged():
     assert res[0].iterations == 3
 
 
-@pytest.mark.parametrize("precond", [None, "jacobi"])
-def test_cg_fused_matches_classic(precond):
-    """The fused-reduction loop performs the same arithmetic as the
-    classic loop (its single pair-allreduce is elementwise, in the same
-    rank order), so solutions and residual histories agree to 1e-12 —
-    the iterates are in fact bitwise identical."""
-    rng = np.random.default_rng(21)
-    d = rng.uniform(1.0, 100.0, 50)
-    A = np.diag(d) + 0.5 * _spd_matrix(50, seed=22, cond=5.0)
-    b = rng.standard_normal(50)
-    M = JacobiPreconditioner(np.diag(A).copy()) if precond else None
-
-    def prog(comm):
-        kw = dict(apply_M=M, rtol=1e-11, maxiter=500)
-        classic = cg(comm, lambda x: A @ x, b, fused=False, **kw)
-        fused = cg(comm, lambda x: A @ x, b, fused=True, **kw)
-        return classic, fused
-
-    res, _ = run_spmd(1, prog)
-    classic, fused = res[0]
-    assert classic.converged and fused.converged
-    assert fused.iterations == classic.iterations
-    scale = np.abs(classic.x).max()
-    np.testing.assert_allclose(fused.x, classic.x, atol=1e-12 * max(scale, 1.0))
-    np.testing.assert_allclose(
-        fused.residual_norms, classic.residual_norms, rtol=1e-12
-    )
-
-
-def test_cg_fused_distributed_matches_classic():
-    p = 3
-    blocks = [_spd_matrix(12, seed=s) for s in range(p)]
-    rhs = [np.random.default_rng(30 + s).standard_normal(12) for s in range(p)]
-
-    def prog(comm):
-        A = blocks[comm.rank]
-        b = rhs[comm.rank]
-        classic = cg(comm, lambda x: A @ x, b, fused=False, rtol=1e-12, maxiter=400)
-        fused = cg(comm, lambda x: A @ x, b, fused=True, rtol=1e-12, maxiter=400)
-        return (
-            fused.iterations == classic.iterations,
-            np.abs(fused.x - classic.x).max(),
-        )
-
-    res, _ = run_spmd(p, prog)
-    same_iters, errs = zip(*res)
-    assert all(same_iters)
-    assert max(errs) < 1e-12
-
-
-def test_cg_fused_cuts_per_iteration_reductions():
-    """The pair-allreduce replaces the separate ``r·r`` / ``r·z``
-    reductions: classic spends 3 per advancing iteration (pAp, norm,
-    rz), fused spends 2 (pAp, pair)."""
+def test_cg_reductions_per_iteration():
+    """One CG loop for both policies: each iteration ships one ``p·Ap``
+    and one ``[r·r, r·z]`` allreduce, plus the two setup reductions.
+    The resilient fault flag is a separate max-allreduce, not a
+    ``solve.reduce``."""
     A = _spd_matrix(40)
     b = np.random.default_rng(2).standard_normal(40)
 
@@ -151,32 +104,115 @@ def test_cg_fused_cuts_per_iteration_reductions():
             phases = comm.obs.snapshot()["phases"]
             return phases.get("solve.reduce", {}).get("count", 0)
 
-        out = {}
-        for fused in (False, True):
+        out = []
+        for resilience in (None, ResilienceConfig()):
             before = n_reduce()
-            res = cg(comm, lambda x: A @ x, b, fused=fused, rtol=1e-10,
-                     maxiter=500)
-            out[fused] = (res.iterations, n_reduce() - before)
+            res = cg(comm, lambda x: A @ x, b, rtol=1e-10, maxiter=500,
+                     resilience=resilience)
+            out.append((res.iterations, n_reduce() - before))
         return out
 
     res, _ = run_spmd(1, prog)
-    it_classic, red_classic = res[0][False]
-    it_fused, red_fused = res[0][True]
-    assert it_fused == it_classic
-    # classic: 2 setup + 2/iter + 1 beta-dot on all but the last iter;
-    # fused: 2 setup + 2/iter.  The saving is exactly it-1 reductions.
-    assert red_classic == 3 * it_classic - 1 + 2
-    assert red_fused == 2 * it_fused + 2
+    (it_plain, red_plain), (it_res, red_res) = res[0]
+    assert it_plain == it_res
+    assert red_plain == 2 * it_plain + 2
+    assert red_res == 2 * it_res + 2
 
 
-def test_cg_fused_breakdown_detected():
+@pytest.mark.parametrize("k", [1, 3])
+def test_cg_resilient_fault_free_is_bitwise_plain(k):
+    """Without faults the resilient solve takes exactly the plain
+    solve's arithmetic: same iterates, counts and residual histories,
+    on every rank and for every column of a block."""
+    p, n = 2, 30
+    rng = np.random.default_rng(7)
+    blocks = [
+        np.diag(rng.uniform(1.0, 50.0, n)) + _spd_matrix(n, seed=s, cond=5.0)
+        for s in range(p)
+    ]
+    rhs = [rng.standard_normal((n, k)) for _ in range(p)]
+
+    def prog(comm):
+        A = blocks[comm.rank]
+        M = JacobiPreconditioner(np.diag(A).copy())
+        kw = dict(apply_M=M, rtol=1e-10, maxiter=500)
+        if k == 1:
+            b = rhs[comm.rank][:, 0]
+            plain = [cg(comm, lambda x: A @ x, b, **kw)]
+            resilient = [cg(comm, lambda x: A @ x, b,
+                            resilience=ResilienceConfig(), **kw)]
+        else:
+            B = rhs[comm.rank]
+            plain = cg_multi(comm, lambda X: A @ X, B, **kw)
+            resilient = cg_multi(comm, lambda X: A @ X, B,
+                                 resilience=ResilienceConfig(), **kw)
+        return [
+            (
+                np.array_equal(a.x, r.x),
+                a.iterations == r.iterations,
+                a.residual_norms == r.residual_norms,
+                a.converged and r.converged and r.restarts == 0,
+            )
+            for a, r in zip(plain, resilient)
+        ]
+
+    res, _ = run_spmd(p, prog)
+    for cols in res:
+        assert len(cols) == k
+        assert all(all(checks) for checks in cols)
+
+
+def test_cg_multi_resilient_rollback_is_lockstep():
+    """A transient fault (one corrupted product, flagged by the ghost
+    checksum counter) rolls every unconverged column back together; a
+    column that converged before the fault stays bitwise frozen."""
+    n = 30
+    w, V = np.linalg.eigh(_spd_matrix(n, seed=3))
+    A = (V * w) @ V.T
+    B = np.column_stack([
+        V[:, 0],  # an eigenvector: converges in the first iteration
+        np.random.default_rng(4).standard_normal(n),
+        np.random.default_rng(5).standard_normal(n),
+    ])
+    calls = []
+
+    def prog(comm):
+        plain = cg_multi(comm, lambda X: A @ X, B, rtol=1e-10, maxiter=500)
+
+        def faulty(X):
+            calls.append(1)
+            if len(calls) == 10:
+                comm.obs.incr("faults.checksum_fail")
+                return 2.0 * (A @ X)
+            return A @ X
+
+        res = cg_multi(comm, faulty, B, rtol=1e-10, maxiter=500,
+                       resilience=ResilienceConfig())
+        return plain, res, comm.obs.counter("solve.restarts")
+
+    out, _ = run_spmd(1, prog)
+    plain, res, restarts = out[0]
+    assert restarts == 1
+    assert plain[0].iterations == res[0].iterations == 1
+    np.testing.assert_array_equal(res[0].x, plain[0].x)
+    for j in (1, 2):
+        assert res[j].converged and res[j].restarts == 1
+        assert res[j].iterations > plain[j].iterations
+        np.testing.assert_allclose(res[j].x, np.linalg.solve(A, B[:, j]),
+                                   atol=1e-8)
+
+
+def test_cg_resilient_breakdown_exhausts_restarts():
+    """A non-SPD operator breaks down on every restart: the resilient
+    solve rolls back ``max_restarts`` times, then fails loudly."""
     def prog(comm):
         with pytest.raises(RuntimeError, match="breakdown"):
-            cg(comm, lambda x: -x, np.ones(5), fused=True)
-        return True
+            cg(comm, lambda x: -x, np.ones(5),
+               resilience=ResilienceConfig(max_restarts=2))
+        return comm.obs.counter("solve.breakdowns")
 
     res, _ = run_spmd(1, prog)
-    assert res[0]
+    assert res[0] == 3
 
 
 def test_jacobi_reduces_iterations():

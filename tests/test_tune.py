@@ -42,7 +42,7 @@ class TestSpace:
         # the ISSUE's knob inventory is all present
         for name in (
             "n_streams", "gpu_chunks", "max_batch", "cache_capacity",
-            "queue_capacity", "fused_cg", "gemm_k_min",
+            "queue_capacity", "gemm_k_min",
             "sellcs_crossover_dofs", "sell_c", "sell_sigma_factor",
         ):
             assert name in cfg
@@ -244,7 +244,7 @@ class _StubEvaluator(BaseEvaluator):
             "serve.throughput_rps": thr,
             "serve.p99_s": 1e-4 * config["max_batch"],
             "serve.time_per_req_s": 1.0 / thr,
-            "solve.vtime_s": 1e-3 if config["fused_cg"] else 2e-3,
+            "solve.vtime_s": 1e-3 if config["gemm_k_min"] >= 8 else 2e-3,
             "model.gpu_pipeline_s": 1e-2 / config["n_streams"],
             "mem.bytes": mem,
         }

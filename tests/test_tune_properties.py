@@ -80,7 +80,7 @@ class _StubEvaluator(BaseEvaluator):
             "serve.p99_s": 1e-4 * config["max_batch"]
             + 1e-6 * config["queue_capacity"],
             "serve.time_per_req_s": 1.0 / thr,
-            "solve.vtime_s": 1e-3 if config["fused_cg"] else 2e-3,
+            "solve.vtime_s": 1e-3 if config["gemm_k_min"] >= 8 else 2e-3,
             "model.gpu_pipeline_s": 1e-2 / config["n_streams"]
             + 1e-4 * config["gpu_chunks"],
             "mem.bytes": float(
