@@ -146,6 +146,10 @@ class AssembledOperator:
             self.A_diag = A_ext[:, lo:hi].tocsr()
             self.A_pre = A_ext[:, :lo].tocsr()
             self.A_post = A_ext[:, hi:].tocsr()
+            # looked up by name per product: a literal key builds no string
+            self._csr_blocks = {
+                "diag": self.A_diag, "pre": self.A_pre, "post": self.A_post
+            }
             self.nnz = A_ext.nnz
 
         t0 = comm.vtime
@@ -217,7 +221,7 @@ class AssembledOperator:
         ``"post"``) with a flat dof vector or a ``(·, k)`` dof matrix
         (scipy's CSR·dense SpMM streams the matrix once for all
         columns)."""
-        return getattr(self, f"A_{block}") @ x
+        return self._csr_blocks[block] @ x
 
     def _work(self, k: int) -> DistributedMultiVector:
         """Work multivector of width ``k`` (cached until reassembly)."""

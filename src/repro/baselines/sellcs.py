@@ -107,6 +107,9 @@ class SellCSOperator(AssembledOperator):
                 if self.A_post.shape[1]
                 else None
             )
+            self._sell_blocks = {
+                "diag": self.S_diag, "pre": self.S_pre, "post": self.S_post
+            }
             self._sell_ws: dict[int, _WsBundle] = {}
         blocks = [s for s in (self.S_diag, self.S_pre, self.S_post) if s is not None]
         padded = sum(s.padded_nnz for s in blocks)
@@ -140,7 +143,7 @@ class SellCSOperator(AssembledOperator):
     def _block_product(self, block: str, x: np.ndarray) -> np.ndarray:
         """Slice kernel (flat ``x``) or chunk-batched matmul (``(·, k)``
         ``x``) of one SELL block, into its per-``k`` workspace."""
-        S = getattr(self, f"S_{block}")
+        S = self._sell_blocks[block]
         if x.ndim == 1:
             return sell_spmv(S, x, getattr(self._bundle(1), block))
         return sell_spmm(S, x, getattr(self._bundle(x.shape[1]), block))

@@ -60,10 +60,6 @@ class CommMaps:
     def n_neighbors(self) -> int:
         return len(set(self.send_ranks) | set(self.recv_ranks))
 
-    def send_volume(self, ndpn: int = 1, itemsize: int = 8) -> int:
-        """Bytes sent per scatter (== bytes received per gather)."""
-        return sum(s.size for s in self.send_slots) * ndpn * itemsize
-
 
 def build_comm_maps(
     comm: Communicator,

@@ -344,7 +344,12 @@ def sell_spmv(
     the CSR reference product, in original row order.
 
     Allocation-free given a ``k == 1`` workspace; the result lands in
-    ``out`` (or the workspace ``y`` buffer, overwritten per call).
+    ``out`` (or the workspace ``y`` buffer, overwritten per call).  The
+    gathers here and in :func:`sell_spmm` call ``ndarray.take`` directly:
+    ``np.take``'s wrapper forwards ``**kwargs``, and on CPython 3.11 each
+    such call parks a fresh dict-keys block on the interpreter's free
+    list (up to 80) after a full garbage collection, which a
+    ``tracemalloc`` bound on the steady state would count.
     """
     xpad = ws.xpad
     xpad[: layout.n_cols] = x
@@ -354,11 +359,11 @@ def sell_spmv(
         m = s.m
         g = ws.g[:m]
         t = ws.t[:m]
-        np.take(xpad, s.cols, out=g, mode="clip")
+        xpad.take(s.cols, out=g, mode="clip")
         np.multiply(s.vals, g, out=t)
         np.add(yp[:m], t, out=yp[:m])
     y = ws.y if out is None else out
-    np.take(yp, layout.inv, out=y, mode="clip")
+    yp.take(layout.inv, out=y, mode="clip")
     return y
 
 
@@ -384,12 +389,12 @@ def sell_spmm(
     for grp in layout.groups:
         mg = grp.r1 - grp.r0
         G = ws.Gbuf[: mg * grp.w * k].reshape(mg * grp.w, k)
-        np.take(Xpad, grp.cols_flat, axis=0, out=G, mode="clip")
+        Xpad.take(grp.cols_flat, axis=0, out=G, mode="clip")
         np.matmul(
             grp.vals[:, None, :],
             G.reshape(mg, grp.w, k),
             out=Yp[grp.r0 : grp.r1].reshape(mg, 1, k),
         )
     Y = ws.Y if out is None else out
-    np.take(Yp, layout.inv, axis=0, out=Y, mode="clip")
+    Yp.take(layout.inv, axis=0, out=Y, mode="clip")
     return Y

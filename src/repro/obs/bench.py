@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.obs.instrumentation import percentile
+from repro.obs.instrumentation import percentile, phase_stats
 from repro.obs.report import emit, harness_parser, install_tuned
 from repro.obs.schema import BENCH_SCHEMA, new_doc, result_key
 
@@ -68,18 +68,6 @@ SMOKE_CASES: tuple[SmokeCase, ...] = (
 )
 
 
-def _phase_stats(samples: list[float]) -> dict[str, float]:
-    # percentile(·, 50) is the shared first-class summary helper (also
-    # used by the serve report); for the smoke suite's repeat counts it
-    # agrees with statistics.median to the last ulp or better
-    return {
-        "median": percentile(samples, 50),
-        "min": min(samples),
-        "max": max(samples),
-        "repeats": len(samples),
-    }
-
-
 def _run_case_method(
     case: SmokeCase, method: str, repeats: int, modeled: bool
 ) -> dict[str, Any]:
@@ -114,7 +102,7 @@ def _run_case_method(
 
     phases = {}
     for label, samples in sorted(vtimes.items()):
-        phases[label] = _phase_stats(samples)
+        phases[label] = phase_stats(samples)
         phases[label]["wall_median"] = percentile(walls[label], 50)
     return {
         "case": case.name,
@@ -123,8 +111,8 @@ def _run_case_method(
         "n_dofs": spec.n_dofs,
         "n_spmv": case.n_spmv,
         "modeled": modeled,
-        "setup_s": _phase_stats(setup_s),
-        "spmv_s": _phase_stats(spmv_s),
+        "setup_s": phase_stats(setup_s),
+        "spmv_s": phase_stats(spmv_s),
         "phases": phases,
         "counters": counters,
     }

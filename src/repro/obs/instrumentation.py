@@ -34,6 +34,7 @@ __all__ = [
     "merge_snapshots",
     "percentile",
     "percentile_summary",
+    "phase_stats",
     "get_instrumentation",
     "reset_instrumentation",
 ]
@@ -77,6 +78,17 @@ def percentile_summary(
     out["max"] = max(xs)
     out["n"] = len(xs)
     return out
+
+
+def phase_stats(samples: Sequence[float]) -> dict[str, float]:
+    """Bench-row summary of a phase's per-repeat samples: ``median``
+    (``percentile(·, 50)``), ``min``, ``max`` and ``repeats``."""
+    return {
+        "median": percentile(samples, 50),
+        "min": min(samples),
+        "max": max(samples),
+        "repeats": len(samples),
+    }
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """The kernels microbench suite: ``python -m repro.harness bench --suite kernels``.
 
-Measures the *real* single-rank SPMV hot path — no simulator threads, no
-virtual clock — on medium meshes, comparing the allocating composition
+Measures the *real* single-rank SPMV hot path — operators built on a
+one-rank :class:`~repro.simmpi.Communicator`, which runs on the calling
+thread — on medium meshes, comparing the allocating composition
 of :func:`reference_spmv` (the pre-workspace code, kept here as the
 bitwise reference) against the operator's zero-allocation path, for
 both EMV kernels.  Three properties are machine-checked per (case,
@@ -13,32 +14,35 @@ kernel):
   and robust to noisy-neighbor contention on shared CI runners, which
   only ever inflates samples;
 * **bitwise identity** — the workspace product must equal the reference
-  product bit for bit, asserted in-process before any timing is trusted;
+  product bit for bit, asserted in-process before any row is reported;
 * **zero allocation** — ``tracemalloc`` bounds the peak heap growth over
   post-warmup SPMVs; the ``spmv.bytes_alloc`` counter is the floored
   value (see ``ALLOC_FLOOR_BYTES``) that CI gates to zero.
 
-Wall-clock medians are machine-dependent; the CI gate therefore only
-checks the ratio and the allocation counter, never absolute times.
+Every row of this suite and of the sellcs suite is measured by
+:func:`measure`.  Wall-clock medians are machine-dependent; the CI gate
+therefore only checks the ratio and the allocation counter, never
+absolute times.
 """
 
 from __future__ import annotations
 
 import time
 import tracemalloc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.obs.instrumentation import Instrumentation, percentile
+from repro.obs.instrumentation import Instrumentation, phase_stats
 from repro.obs.schema import BENCH_SCHEMA, new_doc
 
 __all__ = [
     "KernelCase",
     "KERNEL_CASES",
     "MULTIRHS_KS",
+    "measure",
     "reference_spmv",
     "run_kernels_suite",
     "SELLCS_CASES",
@@ -48,8 +52,9 @@ __all__ = [
 ]
 
 #: peak-heap growth (bytes) attributable to interpreter-level object
-#: churn (boxed floats and dict entries from the instrumentation layer),
-#: measured well under this on every case.  Any numpy buffer allocated in
+#: churn (the generators and boxed floats of ``comm.compute`` and the
+#: counters, about 1-5 KB per row), measured well under this on every
+#: case.  Any numpy buffer allocated in
 #: the hot path — the smallest candidate is the n_dofs-sized bincount
 #: scratch, ~74 KB on the medium Poisson mesh — lands far above it.
 ALLOC_FLOOR_BYTES = 16384
@@ -59,51 +64,6 @@ KERNELS = ("einsum", "columns")
 
 #: batch widths exercised by the multi-RHS (BLAS3) suite
 MULTIRHS_KS = (1, 2, 8, 32)
-
-
-class _NullComm:
-    """Single-rank stand-in for :class:`repro.simmpi.Communicator`.
-
-    Lets the operator stack run in-process without simulator threads, so
-    ``time.perf_counter`` around ``spmv()`` measures the genuine hot
-    path.  Collectives degenerate to identities; point-to-point must
-    never happen on one rank and raises.
-    """
-
-    rank = 0
-    size = 1
-    vtime = 0.0
-
-    def __init__(self) -> None:
-        self.obs = Instrumentation(rank=0, clock=lambda: 0.0, trace=False)
-
-    @contextmanager
-    def compute(self, label: str = "compute"):
-        w0 = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.obs.record(label, vtime=0.0, wall=time.perf_counter() - w0)
-
-    def advance(self, seconds: float, label: str = "modeled") -> None:
-        self.obs.record(label, vtime=seconds)
-
-    def allreduce(self, value, op="sum"):
-        return value
-
-    def allgather(self, value):
-        return [value]
-
-    def alltoall(self, per_dest):
-        if len(per_dest) != 1:
-            raise ValueError("single-rank alltoall needs exactly one entry")
-        return list(per_dest)
-
-    def isend(self, *a, **k):
-        raise RuntimeError("no point-to-point on a single rank")
-
-    irecv = isend
-    wait = isend
 
 
 @dataclass(frozen=True)
@@ -168,46 +128,77 @@ def reference_spmv(A, u, v) -> None:
         )
 
 
+def _comm():
+    """A fresh one-rank :class:`repro.simmpi.Communicator`.
+
+    On one rank every collective returns at once and halos are empty, so
+    an operator built on it runs entirely on the calling thread; each
+    operator gets its own, so a row's counters are that operator's."""
+    from repro.simmpi.engine import Simulator
+
+    return Simulator(1).comms[0]
+
+
 def _build_operator(spec, kernel: str = "einsum"):
     from repro.core.hymv import HymvOperator
 
-    comm = _NullComm()
     lmesh = spec.partition.local(0)
-    return HymvOperator(comm, lmesh, spec.operator, kernel=kernel)
+    return HymvOperator(_comm(), lmesh, spec.operator, kernel=kernel)
 
 
-def _time_spmv(spmv, u, v, n_spmv: int, repeats: int) -> list[float]:
-    """Per-SPMV wall seconds, one sample per repeat."""
+def measure(
+    fn: Callable[[], Any], obs: Instrumentation, n: int, repeats: int
+) -> dict[str, Any]:
+    """The ``phases``/``counters`` part of a bench row for ``fn``.
+
+    Two warm calls reach steady state; ``spmv.total`` holds per-call wall
+    seconds, one sample of ``n`` calls per repeat.  Then ``tracemalloc``
+    bounds the peak heap growth over ``n`` more post-warmup calls:
+    ``spmv.bytes_alloc_raw`` is that growth and ``spmv.bytes_alloc`` the
+    value floored to 0 at or below ``ALLOC_FLOOR_BYTES``, added to a
+    snapshot of ``obs``'s counters.
+    """
+    fn()
+    fn()  # steady state
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        for _ in range(n_spmv):
-            spmv(u, v)
-        samples.append((time.perf_counter() - t0) / n_spmv)
-    return samples
-
-
-def _measure_alloc(spmv, u, v, n_spmv: int) -> int:
-    """Peak heap growth (bytes) over ``n_spmv`` post-warmup SPMVs."""
+        for _ in range(n):
+            fn()
+        samples.append((time.perf_counter() - t0) / n)
     tracemalloc.start()
     try:
-        spmv(u, v)  # warm tracemalloc's own structures on this path
+        fn()  # warm tracemalloc's own structures on this path
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        for _ in range(n_spmv):
-            spmv(u, v)
+        for _ in range(n):
+            fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return max(0, int(peak - base))
-
-
-def _phase_stats(samples: list[float]) -> dict[str, float]:
+    raw = max(0, int(peak - base))
+    counters = dict(obs.snapshot()["counters"])
+    counters["spmv.bytes_alloc"] = float(0 if raw <= ALLOC_FLOOR_BYTES else raw)
+    counters["spmv.bytes_alloc_raw"] = float(raw)
     return {
-        "median": percentile(samples, 50),
-        "min": min(samples),
-        "max": max(samples),
-        "repeats": len(samples),
+        "phases": {"spmv.total": phase_stats(samples)},
+        "counters": counters,
+    }
+
+
+def _row(
+    case: KernelCase, spec, method: str, A, fn: Callable[[], Any], n: int,
+    repeats: int, **fields,
+) -> dict[str, Any]:
+    """One bench row: ``fn`` measured against operator ``A``'s counters."""
+    return {
+        "case": case.name,
+        "method": method,
+        "n_parts": 1,
+        "n_dofs": spec.n_dofs,
+        "n_spmv": n,
+        **fields,
+        **measure(fn, A.comm.obs, n, repeats),
     }
 
 
@@ -215,59 +206,28 @@ def _run_case_kernel(
     case: KernelCase, kernel: str, repeats: int, verbose: bool
 ) -> list[dict[str, Any]]:
     spec = case.make_spec()
-    A_ref = _build_operator(spec, kernel)
-    A_ws = _build_operator(spec, kernel)
-    paths = {
-        "reference": (A_ref, lambda u, v: reference_spmv(A_ref, u, v)),
-        "workspace": (A_ws, A_ws.spmv),
-    }
-
-    rng = np.random.default_rng(1234)
-    x = rng.standard_normal(A_ref.n_dofs_owned)
-    arrays = {}
-    for tag, (A, _) in paths.items():
+    ops = {tag: _build_operator(spec, kernel) for tag in ("reference", "workspace")}
+    x = np.random.default_rng(1234).standard_normal(spec.n_dofs)
+    rows = []
+    best = {}
+    y = {}
+    for tag, A in ops.items():
         u, v = A.new_array(), A.new_array()
         u.set_owned(x)
-        arrays[tag] = (u, v)
-
-    # --- bitwise identity gate (before any timing is trusted) ----------
-    y = {}
-    for tag, (_, spmv) in paths.items():
-        u, v = arrays[tag]
-        spmv(u, v)  # warmup 1
-        spmv(u, v)  # warmup 2 (steady state)
+        spmv = A.spmv if tag == "workspace" else partial(reference_spmv, A)
+        rows.append(_row(
+            case, spec, f"hymv-{kernel}-{tag}", A, lambda: spmv(u, v),
+            case.n_spmv, repeats, bitwise_identical_to_reference=True,
+        ))
+        best[tag] = rows[-1]["phases"]["spmv.total"]["min"]
         y[tag] = v.owned_flat.copy()
+    # --- bitwise identity gate: no row is reported unless the
+    # steady-state products agree bit for bit
     if not np.array_equal(y["reference"], y["workspace"]):
         diff = int(np.sum(y["reference"] != y["workspace"]))
         raise RuntimeError(
             f"{case.name}/{kernel}: workspace SPMV is not bitwise identical "
             f"to the reference path ({diff} differing entries)"
-        )
-
-    rows = []
-    medians = {}
-    best = {}
-    for tag, (A, spmv) in paths.items():
-        u, v = arrays[tag]
-        samples = _time_spmv(spmv, u, v, case.n_spmv, repeats)
-        raw_alloc = _measure_alloc(spmv, u, v, case.n_spmv)
-        alloc = 0 if raw_alloc <= ALLOC_FLOOR_BYTES else raw_alloc
-        counters = dict(A.comm.obs.snapshot()["counters"])
-        counters["spmv.bytes_alloc"] = float(alloc)
-        counters["spmv.bytes_alloc_raw"] = float(raw_alloc)
-        medians[tag] = percentile(samples, 50)
-        best[tag] = min(samples)
-        rows.append(
-            {
-                "case": case.name,
-                "method": f"hymv-{kernel}-{tag}",
-                "n_parts": 1,
-                "n_dofs": spec.n_dofs,
-                "n_spmv": case.n_spmv,
-                "phases": {"spmv.total": _phase_stats(samples)},
-                "counters": counters,
-                "bitwise_identical_to_reference": True,
-            }
         )
     # best-of-repeats ratio, not median: noisy neighbors on shared CI
     # runners only ever *inflate* a sample, so the min of each side is
@@ -282,32 +242,6 @@ def _run_case_kernel(
             f"alloc {rows[-1]['counters']['spmv.bytes_alloc_raw']:.0f} B raw)"
         )
     return rows
-
-
-def _time_spmv_multi(A, U, V, mode: str, n_mult: int, repeats: int) -> list[float]:
-    """Per-``spmv_multi`` wall seconds, one sample per repeat."""
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(n_mult):
-            A.spmv_multi(U, V, mode=mode)
-        samples.append((time.perf_counter() - t0) / n_mult)
-    return samples
-
-
-def _measure_alloc_multi(A, U, V, mode: str, n_mult: int) -> int:
-    """Peak heap growth (bytes) over post-warmup ``spmv_multi`` calls."""
-    tracemalloc.start()
-    try:
-        A.spmv_multi(U, V, mode=mode)  # warm tracemalloc on this path
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        for _ in range(n_mult):
-            A.spmv_multi(U, V, mode=mode)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return max(0, int(peak - base))
 
 
 def _run_case_multirhs(
@@ -350,7 +284,7 @@ def _run_case_multirhs(
     rows: list[dict[str, Any]] = []
     speedups: dict[int, float] = {}
     for k in MULTIRHS_KS:
-        X = rng.standard_normal((ops["oracle"].n_dofs_owned, k))
+        X = rng.standard_normal((spec.n_dofs, k))
         # --- equivalence gate (before any timing is trusted) -----------
         Y = {
             mode: A.apply_owned_multi(X, mode=mode) for mode, A in ops.items()
@@ -371,28 +305,12 @@ def _run_case_multirhs(
         for mode, A in ops.items():
             U, V = A.new_multivector(k), A.new_multivector(k)
             U.set_owned(X)
-            A.spmv_multi(U, V, mode=mode)  # warmup 1
-            A.spmv_multi(U, V, mode=mode)  # warmup 2 (steady state)
-            samples = _time_spmv_multi(A, U, V, mode, n_mult, repeats)
-            raw_alloc = _measure_alloc_multi(A, U, V, mode, n_mult)
-            alloc = 0 if raw_alloc <= ALLOC_FLOOR_BYTES else raw_alloc
-            counters = dict(A.comm.obs.snapshot()["counters"])
-            counters["spmv.bytes_alloc"] = float(alloc)
-            counters["spmv.bytes_alloc_raw"] = float(raw_alloc)
-            best[mode] = min(samples)
-            rows.append(
-                {
-                    "case": case.name,
-                    "method": f"hymv-einsum-multirhs-k{k}-{mode}",
-                    "n_parts": 1,
-                    "n_dofs": spec.n_dofs,
-                    "n_spmv": n_mult,
-                    "k": k,
-                    "phases": {"spmv.total": _phase_stats(samples)},
-                    "counters": counters,
-                    "gemm_equivalence_rtol": rtol,
-                }
-            )
+            rows.append(_row(
+                case, spec, f"hymv-einsum-multirhs-k{k}-{mode}", A,
+                lambda: A.spmv_multi(U, V, mode=mode), n_mult, repeats,
+                k=k, gemm_equivalence_rtol=rtol,
+            ))
+            best[mode] = rows[-1]["phases"]["spmv.total"]["min"]
         # best-of-repeats ratio on the gemm row (see single-RHS rationale)
         speedups[k] = best["oracle"] / best["gemm"]
         rows[-1]["speedup_vs_reference"] = speedups[k]
@@ -461,41 +379,6 @@ SELLCS_CASES: tuple[KernelCase, ...] = (
 )
 
 
-def _time_fn(fn: Callable[[], Any], n: int, repeats: int) -> list[float]:
-    """Per-call wall seconds of ``fn``, one sample per repeat."""
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(n):
-            fn()
-        samples.append((time.perf_counter() - t0) / n)
-    return samples
-
-
-def _measure_alloc_fn(fn: Callable[[], Any], n: int) -> int:
-    """Peak heap growth (bytes) over ``n`` post-warmup calls of ``fn``."""
-    tracemalloc.start()
-    try:
-        fn()  # warm tracemalloc's own structures on this path
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        for _ in range(n):
-            fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return max(0, int(peak - base))
-
-
-def _sellcs_counters(A, raw_alloc: int) -> dict[str, float]:
-    counters = dict(A.comm.obs.snapshot()["counters"])
-    counters["spmv.bytes_alloc"] = float(
-        0 if raw_alloc <= ALLOC_FLOOR_BYTES else raw_alloc
-    )
-    counters["spmv.bytes_alloc_raw"] = float(raw_alloc)
-    return counters
-
-
 def _run_case_sellcs(
     case: KernelCase, repeats: int, verbose: bool
 ) -> tuple[list[dict[str, Any]], int | None]:
@@ -531,34 +414,20 @@ def _run_case_sellcs(
 
     spec = case.make_spec()
     lmesh = spec.partition.local(0)
-    A_asm = AssembledOperator(_NullComm(), lmesh, spec.operator)
+    A_asm = AssembledOperator(_comm(), lmesh, spec.operator)
 
     rng = np.random.default_rng(1234)
     x = rng.standard_normal(A_asm.n_dofs_owned)
     y_ref = A_asm.apply_owned(x)
 
-    rows: list[dict[str, Any]] = []
     n_spmv = case.n_spmv
-
-    def asm_single():
-        A_asm.apply_owned(x, copy=False)
-
-    asm_single()
-    asm_single()  # steady state
-    samples = _time_fn(asm_single, n_spmv, repeats)
-    raw = _measure_alloc_fn(asm_single, n_spmv)
-    rows.append(
-        {
-            "case": case.name,
-            "method": "assembled-spmv",
-            "n_parts": 1,
-            "n_dofs": spec.n_dofs,
-            "n_spmv": n_spmv,
-            "phases": {"spmv.total": _phase_stats(samples)},
-            "counters": _sellcs_counters(A_asm, raw),
-        }
-    )
-    best_asm_single = min(samples)
+    rows = [
+        _row(
+            case, spec, "assembled-spmv", A_asm,
+            lambda: A_asm.apply_owned(x, copy=False), n_spmv, repeats,
+        )
+    ]
+    best_asm_single = rows[0]["phases"]["spmv.total"]["min"]
 
     sweep = case.options.get("sweep", True)
     grid = (
@@ -568,7 +437,7 @@ def _run_case_sellcs(
     )
     S_default = None
     for C, sigma in grid:
-        S = SellCSOperator(_NullComm(), lmesh, spec.operator, C=C, sigma=sigma)
+        S = SellCSOperator(_comm(), lmesh, spec.operator, C=C, sigma=sigma)
         if (C, sigma) == (32, 256):
             S_default = S
         # --- bitwise identity gate (before any timing is trusted) ------
@@ -580,38 +449,26 @@ def _run_case_sellcs(
                 f"bitwise identical to the assembled-CSR reference "
                 f"({diff} differing entries)"
             )
-
-        def sell_single(S=S):
-            S.apply_owned(x, copy=False)
-
-        sell_single()
-        sell_single()  # steady state
-        samples = _time_fn(sell_single, n_spmv, repeats)
-        raw = _measure_alloc_fn(sell_single, n_spmv)
-        row = {
-            "case": case.name,
-            "method": f"sellcs-C{C}-s{sigma}-spmv",
-            "n_parts": 1,
-            "n_dofs": spec.n_dofs,
-            "n_spmv": n_spmv,
-            "phases": {"spmv.total": _phase_stats(samples)},
-            "counters": _sellcs_counters(S, raw),
-            "bitwise_identical_to_reference": True,
-            "speedup_vs_reference": best_asm_single / min(samples),
-        }
-        rows.append(row)
+        r = _row(
+            case, spec, f"sellcs-C{C}-s{sigma}-spmv", S,
+            lambda: S.apply_owned(x, copy=False), n_spmv, repeats,
+            bitwise_identical_to_reference=True,
+        )
+        best = r["phases"]["spmv.total"]["min"]
+        r["speedup_vs_reference"] = best_asm_single / best
+        rows.append(r)
         if verbose:
             print(
                 f"[bench]   sellcs C={C:>2} s={sigma:>3}: "
-                f"{min(samples) * 1e3:.3f} ms best-of-{repeats} "
-                f"({row['speedup_vs_reference']:.2f}x vs assembled, "
+                f"{best * 1e3:.3f} ms best-of-{repeats} "
+                f"({r['speedup_vs_reference']:.2f}x vs assembled, "
                 f"occ {S.occupancy:.3f})"
             )
     if S_default is None:
-        S_default = SellCSOperator(_NullComm(), lmesh, spec.operator)
+        S_default = SellCSOperator(_comm(), lmesh, spec.operator)
 
     # --- multi-RHS: sellcs GEMM vs the assembled per-column oracle -----
-    H = HymvOperator(_NullComm(), lmesh, spec.operator, kernel="einsum")
+    H = HymvOperator(_comm(), lmesh, spec.operator, kernel="einsum")
     abs_diag = abs(A_asm.A_diag)
     wmax = max((int(w) for w in S_default.S_diag.widths[:1]), default=1)
     win_dofs: int | None = None
@@ -642,42 +499,26 @@ def _run_case_sellcs(
                 f"(worst {worst:.3g}x of rtol {rtol:.3g})"
             )
         n_mult = max(2, n_spmv // k)
-        variants = [
-            ("assembled-oracle", lambda: A_asm.apply_owned_multi(
-                X, copy=False, mode="oracle"), A_asm),
-            ("assembled-gemm", lambda: A_asm.apply_owned_multi(
-                X, copy=False, mode="gemm"), A_asm),
-            ("sellcs-gemm", lambda: S_default.apply_owned_multi(
-                X, copy=False, mode="gemm"), S_default),
-            ("hymv-gemm", lambda: H.apply_owned_multi(
-                X, copy=False, mode="gemm"), H),
-        ]
         best: dict[str, float] = {}
-        for tag, fn, A in variants:
-            fn()
-            fn()  # steady state
-            samples = _time_fn(fn, n_mult, repeats)
-            raw = _measure_alloc_fn(fn, n_mult)
-            best[tag] = min(samples)
-            row = {
-                "case": case.name,
-                "method": f"{tag.split('-')[0]}-multirhs-k{k}-"
-                f"{tag.split('-', 1)[1]}",
-                "n_parts": 1,
-                "n_dofs": spec.n_dofs,
-                "n_spmv": n_mult,
-                "k": k,
-                "phases": {"spmv.total": _phase_stats(samples)},
-                "counters": _sellcs_counters(A, raw),
-            }
+        for tag, A, mode in (
+            ("assembled-oracle", A_asm, "oracle"),
+            ("assembled-gemm", A_asm, "gemm"),
+            ("sellcs-gemm", S_default, "gemm"),
+            ("hymv-gemm", H, "gemm"),
+        ):
+            backend, variant = tag.split("-")
+            r = _row(
+                case, spec, f"{backend}-multirhs-k{k}-{variant}", A,
+                lambda: A.apply_owned_multi(X, copy=False, mode=mode),
+                n_mult, repeats, k=k,
+            )
+            best[tag] = r["phases"]["spmv.total"]["min"]
             if tag != "assembled-oracle":
-                row["speedup_vs_reference"] = (
-                    best["assembled-oracle"] / best[tag]
-                )
-                row["gemm_equivalence_rtol"] = rtol
-            if tag.startswith("sellcs"):
-                row["oracle_bitwise_identical"] = True
-            rows.append(row)
+                r["speedup_vs_reference"] = best["assembled-oracle"] / best[tag]
+                r["gemm_equivalence_rtol"] = rtol
+            if backend == "sellcs":
+                r["oracle_bitwise_identical"] = True
+            rows.append(r)
         if verbose:
             print(
                 f"[bench]   multirhs k={k:>2}: asm-oracle "

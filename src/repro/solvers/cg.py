@@ -47,12 +47,6 @@ class CGResult:
     residual_norms: list[float] = field(default_factory=list)
     restarts: int = 0
 
-    @property
-    def final_relative_residual(self) -> float:
-        if not self.residual_norms or self.residual_norms[0] == 0.0:
-            return 0.0
-        return self.residual_norms[-1] / self.residual_norms[0]
-
 
 def _fault_signals(obs) -> float:
     """Locally observed corruption indicators (monotonic counters)."""

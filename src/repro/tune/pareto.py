@@ -34,14 +34,6 @@ class Objectives:
             "mem_bytes": self.mem_bytes,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Objectives":
-        return cls(
-            throughput_rps=float(d["throughput_rps"]),
-            p99_s=float(d["p99_s"]),
-            mem_bytes=float(d["mem_bytes"]),
-        )
-
 
 def dominates(a: Objectives, b: Objectives) -> bool:
     """True iff ``a`` is no worse than ``b`` on every axis and strictly

@@ -202,6 +202,38 @@ def test_cg_multi_resilient_rollback_is_lockstep():
                                    atol=1e-8)
 
 
+def test_cg_multi_rollback_restores_last_clean_iterate():
+    """A rollback restarts from the last clean block iterate: the
+    residual it recomputes multiplies exactly the iterate a fault-free
+    solve reaches one iteration before the corrupted product."""
+    n, m = 30, 6
+    A = _spd_matrix(n, seed=6)
+    B = np.random.default_rng(8).standard_normal((n, 2))
+    seen = []
+
+    def prog(comm):
+        def faulty(X):
+            seen.append(X.copy())
+            if len(seen) == m:
+                comm.obs.incr("spmv.ghost_nonfinite")
+                return A @ X + 1.0  # finite, wrong, flagged
+            return A @ X
+
+        cg_multi(comm, faulty, B, rtol=1e-12, maxiter=500,
+                 resilience=ResilienceConfig())
+        clean = cg_multi(comm, lambda X: A @ X, B, rtol=1e-12, maxiter=m - 1)
+        return clean, comm.obs.counter("solve.restarts")
+
+    out, _ = run_spmd(1, prog)
+    clean, restarts = out[0]
+    assert restarts == 1
+    assert all(r.iterations == m - 1 and not r.converged for r in clean)
+    # call m is iteration m's product; call m + 1 is the rollback's
+    np.testing.assert_array_equal(
+        seen[m], np.column_stack([r.x for r in clean])
+    )
+
+
 def test_cg_resilient_breakdown_exhausts_restarts():
     """A non-SPD operator breaks down on every restart: the resilient
     solve rolls back ``max_restarts`` times, then fails loudly."""
